@@ -4,7 +4,8 @@
 //
 // --kernels-json=PATH additionally runs the CSR-vs-SELL-vs-fused kernel
 // sweep over the Table 2 mesh family and writes one JSON record per
-// mesh (timings, GFLOP/s, speedups) before the google benchmarks.
+// mesh (timings, GFLOP/s, speedups, the share of node-block SELL chunks
+// and the column-index bytes per nonzero) before the google benchmarks.
 //
 // --ebe-json=PATH runs the matrix-free sweep instead: the Format::Ebe
 // rank kernel (per-element dense matrices, gather-multiply-scatter)
@@ -15,6 +16,7 @@
 // not the bit-identity the --kernels-json contenders share.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,7 +36,6 @@
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
 #include "par/comm.hpp"
-#include "sparse/bsr.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/sell.hpp"
@@ -64,20 +65,6 @@ void BM_Spmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_Spmv);
-
-
-void BM_SpmvBsr2(benchmark::State& state) {
-  const sparse::CsrMatrix& a = cantilever().stiffness;
-  const sparse::Bsr2 b(a);
-  Vector x(static_cast<std::size_t>(a.cols()), 1.0);
-  Vector y(static_cast<std::size_t>(a.rows()));
-  for (auto _ : state) {
-    b.spmv(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz());
-}
-BENCHMARK(BM_SpmvBsr2);
 
 void BM_GlsApply(benchmark::State& state) {
   const sparse::CsrMatrix& a = cantilever().stiffness;
@@ -205,9 +192,12 @@ BENCHMARK(BM_GlsApplyFusedSell)->Arg(3)->Arg(7)->Arg(10);
 // Per Table 2 mesh: raw SpMV and the GLS-7 polynomial apply, each
 // through (a) the eagerly scaled scalar-CSR kernel the solvers used
 // before the kernel layer, (b) SELL-C-σ on the same scaled entries, and
-// (c) the fused SELL kernel (unscaled entries, D K D folded in).  All
-// three are bit-identical (tests/test_kernels.cpp), so this measures
-// speed alone.  The acceptance bar is fused GLS-7 >= 1.5x scalar CSR.
+// (c) the "fused" Sell rank kernel (built from the unscaled entries, D K
+// D folded in at build).  All three are bit-identical
+// (tests/test_kernels.cpp), so this measures speed alone.  The
+// acceptance bar is fused GLS-7 >= 1.5x scalar CSR.  Every 2-dof
+// elasticity chunk should be a node block: block_share near 1 and about
+// 1 index byte per nonzero (4 with per-entry columns).
 
 /// One contender in an interleaved timing comparison.  Rounds of the
 /// competing kernels alternate (A B C A B C ...) so frequency drift or
@@ -245,6 +235,8 @@ struct KernelSweepRow {
   index_t n = 0;
   index_t nnz = 0;
   int chunk = 0;
+  double block_share = 0;         ///< node-block chunks / chunks
+  double index_bytes_per_nnz = 0;  ///< stored column bytes / nnz
   double spmv_csr = 0, spmv_sell = 0, spmv_fused = 0;
   double poly_csr = 0, poly_fused = 0;
 };
@@ -269,6 +261,10 @@ KernelSweepRow sweep_mesh(int mesh_number, int degree) {
   row.n = k.rows();
   row.nnz = k.nnz();
   row.chunk = sell.chunk();
+  row.block_share = static_cast<double>(sell.block_chunks()) /
+                    static_cast<double>(std::max<index_t>(sell.chunks(), 1));
+  row.index_bytes_per_nnz = 4.0 * static_cast<double>(sell.stored_cols()) /
+                            static_cast<double>(std::max<index_t>(k.nnz(), 1));
 
   Vector x(static_cast<std::size_t>(k.cols()), 1.0);
   Vector y(static_cast<std::size_t>(k.rows()));
@@ -306,17 +302,18 @@ int run_kernel_sweep(const std::string& json_path, int max_mesh) {
   std::vector<KernelSweepRow> rows;
   std::printf("kernel sweep: scaled CSR vs SELL-C-s vs fused (GLS-%d)\n",
               degree);
-  std::printf("%-8s %9s %10s  %10s %10s %10s  %8s | %10s %10s  %8s\n", "mesh",
-              "n", "nnz", "spmv_csr", "spmv_sell", "spmv_fused", "speedup",
-              "poly_csr", "poly_fused", "speedup");
+  std::printf("%-8s %9s %10s %6s %6s  %10s %10s %10s  %8s | %10s %10s  %8s\n",
+              "mesh", "n", "nnz", "block", "idxB", "spmv_csr", "spmv_sell",
+              "spmv_fused", "speedup", "poly_csr", "poly_fused", "speedup");
   for (int m = 1; m <= nmesh; ++m) {
     rows.push_back(sweep_mesh(m, degree));
     const auto& r = rows.back();
     std::printf(
-        "%-8s %9lld %10lld  %9.2fus %9.2fus %9.2fus  %7.2fx | %9.2fus "
-        "%9.2fus  %7.2fx\n",
+        "%-8s %9lld %10lld %6.3f %6.2f  %9.2fus %9.2fus %9.2fus  %7.2fx | "
+        "%9.2fus %9.2fus  %7.2fx\n",
         r.mesh.c_str(), static_cast<long long>(r.n),
-        static_cast<long long>(r.nnz), r.spmv_csr * 1e6, r.spmv_sell * 1e6,
+        static_cast<long long>(r.nnz), r.block_share, r.index_bytes_per_nnz,
+        r.spmv_csr * 1e6, r.spmv_sell * 1e6,
         r.spmv_fused * 1e6, r.spmv_csr / r.spmv_fused, r.poly_csr * 1e6,
         r.poly_fused * 1e6, r.poly_csr / r.poly_fused);
     std::fflush(stdout);
@@ -346,6 +343,8 @@ int run_kernel_sweep(const std::string& json_path, int max_mesh) {
     const double gf = 2.0 * static_cast<double>(r.nnz) * 1e-9;
     out << "    {\"mesh\": \"" << r.mesh << "\", \"n\": " << r.n
         << ", \"nnz\": " << r.nnz << ", \"chunk\": " << r.chunk
+        << ", \"block_chunk_share\": " << r.block_share
+        << ", \"index_bytes_per_nnz\": " << r.index_bytes_per_nnz
         << ",\n     \"spmv_seconds\": {\"csr\": " << r.spmv_csr
         << ", \"sell\": " << r.spmv_sell << ", \"fused\": " << r.spmv_fused
         << "},\n     \"spmv_gflops\": {\"csr\": " << gf / r.spmv_csr
@@ -372,7 +371,8 @@ int run_kernel_sweep(const std::string& json_path, int max_mesh) {
 // timings the sweep reports a bytes-per-dof column — the resident
 // operator footprint each format streams per SpMV:
 //   csr   nnz*(8 value + 4 col) + (n+1)*4 row-pointer bytes
-//   sell  padded_nnz*(8 + 4) + (nchunks+1)*4 chunk-offset bytes
+//   sell  padded_nnz*8 + stored column indices*4 + 2*(nchunks+1)*4
+//         value/column chunk-offset bytes
 //   ebe   stored dense entries*8 + element dof ids*4
 // EBE trades duplicated interface entries (dense element blocks) for a
 // perfectly regular layout and zero assembly; the column quantifies
@@ -416,10 +416,9 @@ EbeSweepRow sweep_mesh_ebe(int mesh_number, int degree) {
   row.bpd_csr = (static_cast<double>(k.nnz()) * (8.0 + 4.0) +
                  static_cast<double>(k.rows() + 1) * 4.0) /
                 n;
-  const index_t nchunks =
-      (sell.stored_rows() + sell.chunk() - 1) / sell.chunk();
-  row.bpd_sell = (static_cast<double>(sell.padded_nnz()) * (8.0 + 4.0) +
-                  static_cast<double>(nchunks + 1) * 4.0) /
+  row.bpd_sell = (static_cast<double>(sell.padded_nnz()) * 8.0 +
+                  static_cast<double>(sell.stored_cols()) * 4.0 +
+                  static_cast<double>(sell.chunks() + 1) * 8.0) /
                  n;
   row.bpd_ebe = (static_cast<double>(elems.stored_values()) * 8.0 +
                  static_cast<double>(elems.dof_ids().size()) * 4.0) /

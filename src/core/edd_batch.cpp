@@ -830,9 +830,8 @@ EddOperatorState build_edd_operator(
                 std::to_string(sub.local_to_global[l]));
           d[l] = 1.0 / std::sqrt(d[l]);
         }
-        // Kernels are built from the UNSCALED matrix: the Sell format
-        // keeps the raw entries and fuses D into every apply, the Csr
-        // format scales its private copy eagerly.  op.a keeps the
+        // Kernels are built from the UNSCALED matrix and fold D into
+        // their own copy of the entries at build time.  op.a keeps the
         // scaled CSR alongside for callers that inspect it.
         op.kern[s] = RankKernel(a, Vector(d), sub.interface_local_dofs,
                                 kernels,

@@ -114,10 +114,10 @@ void edd_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
             std::to_string(sub.local_to_global[l]));
       d[l] = 1.0 / std::sqrt(d[l]);
     }
-    // Â = D̂ K̂ D̂ (Eq. 44): the Csr kernel scales a private copy
-    // eagerly, the Sell kernel fuses D into every apply — the 2*nnz
-    // scaling work is charged here either way so setup/iteration flop
-    // accounting stays comparable across formats.
+    // Â = D̂ K̂ D̂ (Eq. 44): every kernel format folds D into its own
+    // copy of the entries at build time; the 2*nnz scaling work is
+    // charged here so setup/iteration flop accounting stays comparable
+    // across formats.
     kern.emplace(k_in, Vector(d), sub.interface_local_dofs, opts.kernels,
                  elems);
     r.counters().flops += 2ull * static_cast<std::uint64_t>(k_in.nnz());

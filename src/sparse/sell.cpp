@@ -9,8 +9,8 @@
 // at runtime so the binary still runs on machines without AVX2/AVX-512F.
 // Only mul/add intrinsics are used — never FMA — and each SIMD lane
 // performs the scalar kernel's exact per-entry rounding sequence, so
-// these paths are bit-identical to the portable loops below (and to the
-// eagerly scaled CSR kernel; see tests/test_kernels.cpp).
+// these paths are bit-identical to the portable loop below (and to the
+// scalar CSR kernel; see tests/test_kernels.cpp).
 #if defined(__x86_64__) && defined(__GNUC__)
 #define PFEM_SELL_X86 1
 #include <immintrin.h>
@@ -20,140 +20,82 @@ namespace pfem::sparse {
 
 namespace {
 
-// One chunk-width-templated body per kernel so the compiler sees C as a
-// constant and keeps the C accumulators in registers.  The j-loop walks
-// each lane's entries in original CSR column order; padded entries carry
-// (val=0, col=0) and fold in as +0.0*x[0].
-template <int C>
-void spmv_chunks(index_t nchunks, const index_t* chunk_ptr,
-                 const index_t* slot_row, const index_t* col,
-                 const real_t* val, const real_t* x, real_t* y, bool add) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / C;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    real_t acc[C];
+/// The stored arrays a kernel body walks.
+struct Chunks {
+  index_t n;
+  const index_t* chunk_ptr;
+  const index_t* col_ptr;
+  const char* block;
+  const index_t* slot_row;
+  const index_t* col;
+  const real_t* val;
+};
+
+inline void scatter(const index_t* rows, const real_t* acc, int c, real_t* y,
+                    bool add) {
+  for (int l = 0; l < c; ++l) {
+    if (rows[l] < 0) continue;
+    if (add) {
+      y[rows[l]] += acc[l];
+    } else {
+      y[rows[l]] = acc[l];
+    }
+  }
+}
+
+// Portable body.  CT > 0 fixes the chunk width at compile time so the
+// compiler keeps the C accumulators in registers; CT = 0 is the generic
+// fallback for widths outside {4, 8, 16}.  A generic chunk walks each
+// lane's entries in original CSR column order; a node-block chunk adds
+// step 2t (x[c]) and then step 2t+1 (x[c+1]) per lane, the same order.
+// Padded entries carry val=0 and fold in as +0.0*x[0] (and x[1]).
+template <int CT>
+void spmv_chunks(const Chunks& m, int cdyn, const real_t* x, real_t* y,
+                 bool add) {
+  const int C = CT > 0 ? CT : cdyn;
+  real_t acc_fixed[CT > 0 ? CT : 1] = {};
+  Vector acc_dyn(CT > 0 ? 0 : static_cast<std::size_t>(C));
+  real_t* acc = CT > 0 ? acc_fixed : acc_dyn.data();
+  for (index_t k = 0; k < m.n; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / C;
+    const real_t* v = m.val + base;
+    const index_t* c = m.col + m.col_ptr[k];
     for (int l = 0; l < C; ++l) acc[l] = 0.0;
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = v + static_cast<std::size_t>(j) * C;
-      const index_t* cj = c + static_cast<std::size_t>(j) * C;
-      for (int l = 0; l < C; ++l) acc[l] += vj[l] * x[cj[l]];
-    }
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * C;
-    for (int l = 0; l < C; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += acc[l];
-      } else {
-        y[rows[l]] = acc[l];
+    if (m.block[k] != 0) {
+      for (index_t t = 0; t < w / 2; ++t) {
+        const real_t* v0 = v + static_cast<std::size_t>(2 * t) * C;
+        const index_t* ct = c + static_cast<std::size_t>(t) * (C / 2);
+        for (int l = 0; l < C; ++l) acc[l] += v0[l] * x[ct[l / 2]];
+        for (int l = 0; l < C; ++l) acc[l] += v0[C + l] * x[ct[l / 2] + 1];
+      }
+    } else {
+      for (index_t j = 0; j < w; ++j) {
+        const real_t* vj = v + static_cast<std::size_t>(j) * C;
+        const index_t* cj = c + static_cast<std::size_t>(j) * C;
+        for (int l = 0; l < C; ++l) acc[l] += vj[l] * x[cj[l]];
       }
     }
-  }
-}
-
-// Fused D A D x: t = d_row*d_col, v' = a*t, acc += v'*x — the exact
-// rounding sequence of scale_symmetric() + spmv(), so results match the
-// eagerly scaled matrix bit for bit.  Pad lanes use d_row = 0.
-template <int C>
-void spmv_scaled_chunks(index_t nchunks, const index_t* chunk_ptr,
-                        const index_t* slot_row, const index_t* col,
-                        const real_t* val, const real_t* d, const real_t* x,
-                        real_t* y) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / C;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * C;
-    real_t acc[C];
-    real_t dr[C];
-    for (int l = 0; l < C; ++l) {
-      acc[l] = 0.0;
-      dr[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = v + static_cast<std::size_t>(j) * C;
-      const index_t* cj = c + static_cast<std::size_t>(j) * C;
-      for (int l = 0; l < C; ++l) {
-        const real_t t = dr[l] * d[cj[l]];
-        const real_t vv = vj[l] * t;
-        acc[l] += vv * x[cj[l]];
-      }
-    }
-    for (int l = 0; l < C; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = acc[l];
-    }
-  }
-}
-
-// Generic-width fallback for chunk values outside {4, 8, 16}.
-void spmv_chunks_any(int c, index_t nchunks, const index_t* chunk_ptr,
-                     const index_t* slot_row, const index_t* col,
-                     const real_t* val, const real_t* x, real_t* y,
-                     bool add) {
-  Vector acc(static_cast<std::size_t>(c));
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / c;
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = val + base + static_cast<std::size_t>(j) * c;
-      const index_t* cj = col + base + static_cast<std::size_t>(j) * c;
-      for (int l = 0; l < c; ++l) acc[l] += vj[l] * x[cj[l]];
-    }
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * c;
-    for (int l = 0; l < c; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += acc[l];
-      } else {
-        y[rows[l]] = acc[l];
-      }
-    }
-  }
-}
-
-void spmv_scaled_chunks_any(int c, index_t nchunks, const index_t* chunk_ptr,
-                            const index_t* slot_row, const index_t* col,
-                            const real_t* val, const real_t* d,
-                            const real_t* x, real_t* y) {
-  Vector acc(static_cast<std::size_t>(c));
-  Vector dr(static_cast<std::size_t>(c));
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / c;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * c;
-    for (int l = 0; l < c; ++l) {
-      acc[l] = 0.0;
-      dr[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = val + base + static_cast<std::size_t>(j) * c;
-      const index_t* cj = col + base + static_cast<std::size_t>(j) * c;
-      for (int l = 0; l < c; ++l) {
-        const real_t t = dr[l] * d[cj[l]];
-        const real_t vv = vj[l] * t;
-        acc[l] += vv * x[cj[l]];
-      }
-    }
-    for (int l = 0; l < c; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = acc[l];
-    }
+    scatter(m.slot_row + static_cast<std::size_t>(k) * C, acc, C, y, add);
   }
 }
 
 #ifdef PFEM_SELL_X86
 
-// GCC's own AVX-512 headers route several intrinsics (zext/insert/
-// permute) through _mm512_undefined_pd(), which -Wmaybe-uninitialized
-// flags inside every caller.  Known header false positive (GCC PR
-// 105593); silence it for the SIMD bodies only.
+// GCC's own AVX-512 headers route several intrinsics (cast/insert)
+// through _mm512_undefined_pd(), which -Wmaybe-uninitialized flags
+// inside every caller.  Known header false positive (GCC PR 105593);
+// silence it for the SIMD bodies only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 bool cpu_has_avx2() {
   static const bool b = __builtin_cpu_supports("avx2");
+  return b;
+}
+
+bool cpu_has_avx512f() {
+  static const bool b = __builtin_cpu_supports("avx512f");
   return b;
 }
 
@@ -168,212 +110,154 @@ __attribute__((target("avx2"))) inline __m256d gather4(const real_t* base,
       _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
 }
 
-__attribute__((target("avx512f"))) inline __m256d gather4_avx512(
-    const real_t* base, __m128i idx) {
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), base, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-}
-
 __attribute__((target("avx512f"))) inline __m512d gather8(const real_t* base,
                                                           __m256i idx) {
   return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, idx, base, 8);
 }
 
-bool cpu_has_avx512f() {
-  static const bool b = __builtin_cpu_supports("avx512f");
-  return b;
+// The x couples of two lane pairs: [x[c0], x[c0+1], x[c1], x[c1+1]].
+__attribute__((target("avx2"))) inline __m256d load_pairs(const real_t* x,
+                                                          index_t c0,
+                                                          index_t c1) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(x + c0)),
+                              _mm_loadu_pd(x + c1), 1);
 }
 
-__attribute__((target("avx2"))) void spmv_chunks8_avx2(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const real_t* x, real_t* y,
-    bool add) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
+__attribute__((target("avx2"))) void spmv_chunks8_avx2(const Chunks& m,
+                                                       const real_t* x,
+                                                       real_t* y, bool add) {
+  for (index_t k = 0; k < m.n; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / 8;
+    const real_t* v = m.val + base;
+    const index_t* c = m.col + m.col_ptr[k];
     __m256d acc0 = _mm256_setzero_pd();
     __m256d acc1 = _mm256_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      const index_t* cj = c + static_cast<std::size_t>(j) * 8;
-      const real_t* vj = v + static_cast<std::size_t>(j) * 8;
-      const __m128i i0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj));
-      const __m128i i1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj + 4));
-      const __m256d x0 = gather4(x, i0);
-      const __m256d x1 = gather4(x, i1);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(vj), x0));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(vj + 4), x1));
+    if (m.block[k] != 0) {
+      for (index_t t = 0; t < w / 2; ++t) {
+        const index_t* ct = c + static_cast<std::size_t>(t) * 4;
+        const real_t* v0 = v + static_cast<std::size_t>(t) * 16;
+        const __m256d p01 = load_pairs(x, ct[0], ct[1]);
+        const __m256d p23 = load_pairs(x, ct[2], ct[3]);
+        // unpacklo/hi duplicate x[c] (step 2t) / x[c+1] (step 2t+1)
+        // into both lanes of each pair.
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(v0),
+                                                 _mm256_unpacklo_pd(p01, p01)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(v0 + 4),
+                                                 _mm256_unpacklo_pd(p23, p23)));
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(v0 + 8),
+                                                 _mm256_unpackhi_pd(p01, p01)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(v0 + 12),
+                                                 _mm256_unpackhi_pd(p23, p23)));
+      }
+    } else {
+      for (index_t j = 0; j < w; ++j) {
+        const index_t* cj = c + static_cast<std::size_t>(j) * 8;
+        const real_t* vj = v + static_cast<std::size_t>(j) * 8;
+        const __m128i i0 =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj));
+        const __m128i i1 =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj + 4));
+        acc0 = _mm256_add_pd(acc0,
+                             _mm256_mul_pd(_mm256_loadu_pd(vj), gather4(x, i0)));
+        acc1 = _mm256_add_pd(
+            acc1, _mm256_mul_pd(_mm256_loadu_pd(vj + 4), gather4(x, i1)));
+      }
     }
     alignas(32) real_t a[8];
     _mm256_store_pd(a, acc0);
     _mm256_store_pd(a + 4, acc1);
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += a[l];
-      } else {
-        y[rows[l]] = a[l];
-      }
-    }
+    scatter(m.slot_row + static_cast<std::size_t>(k) * 8, a, 8, y, add);
   }
 }
 
-__attribute__((target("avx2"))) void spmv_scaled_chunks8_avx2(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const real_t* d, const real_t* x,
-    real_t* y) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    alignas(32) real_t drbuf[8];
-    for (int l = 0; l < 8; ++l) {
-      drbuf[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    const __m256d dr0 = _mm256_load_pd(drbuf);
-    const __m256d dr1 = _mm256_load_pd(drbuf + 4);
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      const index_t* cj = c + static_cast<std::size_t>(j) * 8;
-      const real_t* vj = v + static_cast<std::size_t>(j) * 8;
-      const __m128i i0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj));
-      const __m128i i1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj + 4));
-      // t = d_row*d_col; v' = a*t; acc += v'*x — the scalar sequence.
-      const __m256d t0 = _mm256_mul_pd(dr0, gather4(d, i0));
-      const __m256d t1 = _mm256_mul_pd(dr1, gather4(d, i1));
-      const __m256d vv0 = _mm256_mul_pd(_mm256_loadu_pd(vj), t0);
-      const __m256d vv1 = _mm256_mul_pd(_mm256_loadu_pd(vj + 4), t1);
-      acc0 = _mm256_add_pd(
-          acc0, _mm256_mul_pd(vv0, gather4(x, i0)));
-      acc1 = _mm256_add_pd(
-          acc1, _mm256_mul_pd(vv1, gather4(x, i1)));
-    }
-    alignas(32) real_t a[8];
-    _mm256_store_pd(a, acc0);
-    _mm256_store_pd(a + 4, acc1);
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = a[l];
-    }
-  }
+// One node-block step of a C=8 chunk: lanes 2s, 2s+1 add v[2t]*x[c_s]
+// and then v[2t+1]*x[c_s+1], the CSR order.
+__attribute__((target("avx512f"))) inline __m512d block_step8(
+    __m512d acc, const real_t* x, const index_t* ct, const real_t* v0) {
+  const __m512d p =
+      _mm512_insertf64x4(_mm512_castpd256_pd512(load_pairs(x, ct[0], ct[1])),
+                         load_pairs(x, ct[2], ct[3]), 1);
+  acc = _mm512_add_pd(
+      acc, _mm512_mul_pd(_mm512_loadu_pd(v0), _mm512_unpacklo_pd(p, p)));
+  return _mm512_add_pd(
+      acc, _mm512_mul_pd(_mm512_loadu_pd(v0 + 8), _mm512_unpackhi_pd(p, p)));
 }
 
-__attribute__((target("avx512f"))) void spmv_chunks8_avx512(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const char* paired,
-    const real_t* x, real_t* y, bool add) {
-  // Lane-paired chunks gather each x value once (even lanes only) and
-  // broadcast it to both lanes of the pair — half the gather traffic,
-  // the dominant cost of this kernel.  Same x values into the same
-  // mul/add sequence, so both branches are bit-identical.
-  const __m256i kEvens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m512i kDup = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
+__attribute__((target("avx512f"))) void spmv_chunks8_avx512(const Chunks& m,
+                                                            const real_t* x,
+                                                            real_t* y,
+                                                            bool add) {
+  for (index_t k = 0; k < m.n; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / 8;
+    const real_t* v = m.val + base;
+    const index_t* c = m.col + m.col_ptr[k];
     __m512d acc = _mm512_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      // Keep the val/col streams ~8 steps ahead of the gathers; the
-      // hardware prefetcher alone leaves DRAM bandwidth on the table
-      // once the matrix falls out of L2.
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       v + static_cast<std::size_t>(j + 8) * 8),
-                   _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       c + static_cast<std::size_t>(j + 16) * 8),
-                   _MM_HINT_T0);
-      const __m256i cj = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          c + static_cast<std::size_t>(j) * 8));
-      __m512d xg;
-      if (paired[k] != 0) {
-        const __m128i ce = _mm256_castsi256_si128(
-            _mm256_permutevar8x32_epi32(cj, kEvens));
-        const __m256d g = gather4_avx512(x, ce);
-        xg = _mm512_maskz_permutexvar_pd(0xFF, kDup,
-                                         _mm512_zextpd256_pd512(g));
-      } else {
-        xg = gather8(x, cj);
+    // Both paths keep the value stream ~8 steps ahead of the loads; the
+    // hardware prefetcher alone leaves DRAM bandwidth on the table once
+    // the matrix falls out of L2.
+    if (m.block[k] != 0) {
+      for (index_t t = 0; t < w / 2; ++t) {
+        _mm_prefetch(reinterpret_cast<const char*>(
+                         v + static_cast<std::size_t>(t + 4) * 16),
+                     _MM_HINT_T0);
+        acc = block_step8(acc, x, c + t * 4, v + t * 16);
       }
-      const __m512d vj =
-          _mm512_loadu_pd(v + static_cast<std::size_t>(j) * 8);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(vj, xg));
+    } else {
+      for (index_t j = 0; j < w; ++j) {
+        _mm_prefetch(reinterpret_cast<const char*>(
+                         v + static_cast<std::size_t>(j + 8) * 8),
+                     _MM_HINT_T0);
+        _mm_prefetch(reinterpret_cast<const char*>(
+                         c + static_cast<std::size_t>(j + 16) * 8),
+                     _MM_HINT_T0);
+        const __m256i cj = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            c + static_cast<std::size_t>(j) * 8));
+        const __m512d vj =
+            _mm512_loadu_pd(v + static_cast<std::size_t>(j) * 8);
+        acc = _mm512_add_pd(acc, _mm512_mul_pd(vj, gather8(x, cj)));
+      }
     }
     alignas(64) real_t a[8];
     _mm512_store_pd(a, acc);
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += a[l];
-      } else {
-        y[rows[l]] = a[l];
-      }
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void spmv_scaled_chunks8_avx512(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const char* paired,
-    const real_t* d, const real_t* x, real_t* y) {
-  const __m256i kEvens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m512i kDup = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    alignas(64) real_t drbuf[8];
-    for (int l = 0; l < 8; ++l) {
-      drbuf[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    const __m512d dr = _mm512_load_pd(drbuf);
-    __m512d acc = _mm512_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      const __m256i cj = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          c + static_cast<std::size_t>(j) * 8));
-      const __m512d vj =
-          _mm512_loadu_pd(v + static_cast<std::size_t>(j) * 8);
-      __m512d dg, xg;
-      if (paired[k] != 0) {
-        const __m128i ce = _mm256_castsi256_si128(
-            _mm256_permutevar8x32_epi32(cj, kEvens));
-        dg = _mm512_maskz_permutexvar_pd(
-            0xFF, kDup, _mm512_zextpd256_pd512(gather4_avx512(d, ce)));
-        xg = _mm512_maskz_permutexvar_pd(
-            0xFF, kDup, _mm512_zextpd256_pd512(gather4_avx512(x, ce)));
-      } else {
-        dg = gather8(d, cj);
-        xg = gather8(x, cj);
-      }
-      // t = d_row*d_col; v' = a*t; acc += v'*x — the scalar sequence.
-      const __m512d t = _mm512_mul_pd(dr, dg);
-      const __m512d vv = _mm512_mul_pd(vj, t);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(vv, xg));
-    }
-    alignas(64) real_t a[8];
-    _mm512_store_pd(a, acc);
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = a[l];
-    }
+    scatter(m.slot_row + static_cast<std::size_t>(k) * 8, a, 8, y, add);
   }
 }
 
 #pragma GCC diagnostic pop
 
 #endif  // PFEM_SELL_X86
+
+detail::SellBody best_body() {
+#ifdef PFEM_SELL_X86
+  if (cpu_has_avx512f()) return detail::SellBody::Avx512;
+  if (cpu_has_avx2()) return detail::SellBody::Avx2;
+#endif
+  return detail::SellBody::Portable;
+}
+
+// Lanes (2s, 2s+1) of a chunk form node blocks when both rows have the
+// same even length and the same columns, and each row's entries come as
+// (c, c+1) at steps (2t, 2t+1).  A pad lane has length 0, so a pad pair
+// qualifies and a real/pad pair only when the real row is empty.
+bool is_block_chunk(const index_t* lane_row, const index_t* lane_len, int c,
+                    std::span<const index_t> rp,
+                    std::span<const index_t> ci) {
+  if (c % 2 != 0) return false;
+  for (int s = 0; s < c; s += 2) {
+    const index_t len = lane_len[s];
+    if (len != lane_len[s + 1] || len % 2 != 0) return false;
+    if (len == 0) continue;
+    const index_t* c0 = ci.data() + rp[lane_row[s]];
+    const index_t* c1 = ci.data() + rp[lane_row[s + 1]];
+    for (index_t j = 0; j < len; j += 2) {
+      if (c0[j] != c1[j] || c0[j + 1] != c1[j + 1] || c0[j + 1] != c0[j] + 1)
+        return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -403,10 +287,13 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
 
   // σ-window sort: within each window of sg subset positions, stable-sort
   // by descending row length.  Stability keeps equal-length rows in the
-  // caller's order, so conversion is deterministic.
+  // caller's order, so conversion is deterministic (and the two dofs of
+  // a node stay in adjacent, pair-aligned slots).
   IndexVector order(static_cast<std::size_t>(nr));
   std::iota(order.begin(), order.end(), index_t{0});
   const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto av = a.values();
   auto len = [&](index_t i) { return rp[rows[i] + 1] - rp[rows[i]]; };
   for (index_t w0 = 0; w0 < nr; w0 += sg) {
     const index_t w1 = std::min<index_t>(w0 + sg, nr);
@@ -414,10 +301,14 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
                      [&](index_t i, index_t j) { return len(i) > len(j); });
   }
 
+  // Slot assignment, chunk widths and the node-block test, then the
+  // value and column offsets of every chunk.
   const auto nslots = static_cast<std::size_t>(m.nchunks_) * c;
   m.slot_row_.assign(nslots, index_t{-1});
   m.slot_len_.assign(nslots, index_t{0});
   m.chunk_ptr_.assign(static_cast<std::size_t>(m.nchunks_) + 1, index_t{0});
+  m.col_ptr_.assign(static_cast<std::size_t>(m.nchunks_) + 1, index_t{0});
+  m.chunk_block_.assign(static_cast<std::size_t>(m.nchunks_), 0);
   for (index_t k = 0; k < m.nchunks_; ++k) {
     index_t w = 0;
     for (int l = 0; l < c; ++l) {
@@ -429,169 +320,88 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
       m.slot_len_[static_cast<std::size_t>(pos)] = rl;
       w = std::max(w, rl);
     }
+    const bool block = is_block_chunk(m.slot_row_.data() + k * c,
+                                      m.slot_len_.data() + k * c, c, rp, ci);
+    m.chunk_block_[static_cast<std::size_t>(k)] = block ? 1 : 0;
     m.chunk_ptr_[k + 1] = m.chunk_ptr_[k] + w * c;
+    m.col_ptr_[k + 1] = m.col_ptr_[k] + (block ? w * c / 4 : w * c);
   }
 
-  m.col_.assign(static_cast<std::size_t>(m.chunk_ptr_.back()), index_t{0});
+  m.col_.assign(static_cast<std::size_t>(m.col_ptr_.back()), index_t{0});
   m.val_.assign(static_cast<std::size_t>(m.chunk_ptr_.back()), real_t{0.0});
-  const auto ci = a.col_idx();
-  const auto av = a.values();
   index_t nnz = 0;
   for (index_t k = 0; k < m.nchunks_; ++k) {
     const index_t base = m.chunk_ptr_[k];
+    index_t* col = m.col_.data() + m.col_ptr_[k];
+    const bool block = m.chunk_block_[static_cast<std::size_t>(k)] != 0;
     for (int l = 0; l < c; ++l) {
       const index_t row = m.slot_row_[static_cast<std::size_t>(k) * c + l];
       if (row < 0) continue;
       const index_t rl = rp[row + 1] - rp[row];
       for (index_t j = 0; j < rl; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * c + l);
-        m.col_[slot] = ci[rp[row] + j];
-        m.val_[slot] = av[rp[row] + j];
+        m.val_[static_cast<std::size_t>(base + j * c + l)] = av[rp[row] + j];
+        if (!block) {
+          col[j * c + l] = ci[rp[row] + j];
+        } else if (l % 2 == 0 && j % 2 == 0) {
+          col[(j / 2) * (c / 2) + l / 2] = ci[rp[row] + j];
+        }
       }
       nnz += rl;
     }
   }
   m.nnz_ = nnz;
-
-  // Detect lane-paired chunks (see chunk_paired_ in the header): both
-  // lanes of a pair must carry elementwise equal columns across the full
-  // padded width, which also makes an all-padding pair (cols all 0)
-  // trivially paired and a real/padding mismatch fall back to generic.
-  m.chunk_paired_.assign(static_cast<std::size_t>(m.nchunks_), 0);
-  if (c % 2 == 0) {
-    for (index_t k = 0; k < m.nchunks_; ++k) {
-      const index_t base = m.chunk_ptr_[k];
-      const index_t w = (m.chunk_ptr_[k + 1] - base) / c;
-      bool paired = true;
-      for (index_t j = 0; paired && j < w; ++j) {
-        const index_t* cj = m.col_.data() + base + j * c;
-        for (int s = 0; s + 1 < c; s += 2) {
-          if (cj[s] != cj[s + 1]) {
-            paired = false;
-            break;
-          }
-        }
-      }
-      m.chunk_paired_[static_cast<std::size_t>(k)] = paired ? 1 : 0;
-    }
-  }
   return m;
 }
 
-void SellMatrix::spmv(std::span<const real_t> x, std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  switch (c_) {
-    case 4:
-      spmv_chunks<4>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), false);
-      break;
-    case 8:
+namespace detail {
+
+bool sell_body_supported(SellBody body) {
 #ifdef PFEM_SELL_X86
-      if (cpu_has_avx512f()) {
-        spmv_chunks8_avx512(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), chunk_paired_.data(),
-                            x.data(), y.data(), false);
-        break;
-      }
-      if (cpu_has_avx2()) {
-        spmv_chunks8_avx2(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                          col_.data(), val_.data(), x.data(), y.data(),
-                          false);
-        break;
-      }
+  if (body == SellBody::Avx512) return cpu_has_avx512f();
+  if (body == SellBody::Avx2) return cpu_has_avx2();
 #endif
-      spmv_chunks<8>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), false);
-      break;
-    case 16:
-      spmv_chunks<16>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), false);
-      break;
-    default:
-      spmv_chunks_any(c_, nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), false);
+  return body == SellBody::Portable;
+}
+
+void sell_spmv(const SellMatrix& a, SellBody body, std::span<const real_t> x,
+               std::span<real_t> y, bool add) {
+  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(a.cols_));
+  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(a.rows_));
+  PFEM_CHECK_MSG(sell_body_supported(body) &&
+                     (body == SellBody::Portable || a.c_ == 8),
+                 "SELL kernel body not available for chunk " << a.c_);
+  const Chunks m{a.nchunks_,        a.chunk_ptr_.data(), a.col_ptr_.data(),
+                 a.chunk_block_.data(), a.slot_row_.data(), a.col_.data(),
+                 a.val_.data()};
+#ifdef PFEM_SELL_X86
+  if (body == SellBody::Avx512) {
+    spmv_chunks8_avx512(m, x.data(), y.data(), add);
+    return;
   }
+  if (body == SellBody::Avx2) {
+    spmv_chunks8_avx2(m, x.data(), y.data(), add);
+    return;
+  }
+#endif
+  switch (a.c_) {
+    case 4: spmv_chunks<4>(m, 4, x.data(), y.data(), add); break;
+    case 8: spmv_chunks<8>(m, 8, x.data(), y.data(), add); break;
+    case 16: spmv_chunks<16>(m, 16, x.data(), y.data(), add); break;
+    default: spmv_chunks<0>(m, a.c_, x.data(), y.data(), add);
+  }
+}
+
+}  // namespace detail
+
+void SellMatrix::spmv(std::span<const real_t> x, std::span<real_t> y) const {
+  detail::sell_spmv(*this, c_ == 8 ? best_body() : detail::SellBody::Portable,
+                    x, y, false);
 }
 
 void SellMatrix::spmv_add(std::span<const real_t> x,
                           std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  switch (c_) {
-    case 4:
-      spmv_chunks<4>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), true);
-      break;
-    case 8:
-#ifdef PFEM_SELL_X86
-      if (cpu_has_avx512f()) {
-        spmv_chunks8_avx512(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), chunk_paired_.data(),
-                            x.data(), y.data(), true);
-        break;
-      }
-      if (cpu_has_avx2()) {
-        spmv_chunks8_avx2(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                          col_.data(), val_.data(), x.data(), y.data(), true);
-        break;
-      }
-#endif
-      spmv_chunks<8>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), true);
-      break;
-    case 16:
-      spmv_chunks<16>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), true);
-      break;
-    default:
-      spmv_chunks_any(c_, nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), true);
-  }
-}
-
-void SellMatrix::spmv_scaled(std::span<const real_t> d,
-                             std::span<const real_t> x,
-                             std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(d.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  switch (c_) {
-    case 4:
-      spmv_scaled_chunks<4>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), d.data(), x.data(),
-                            y.data());
-      break;
-    case 8:
-#ifdef PFEM_SELL_X86
-      if (cpu_has_avx512f()) {
-        spmv_scaled_chunks8_avx512(nchunks_, chunk_ptr_.data(),
-                                   slot_row_.data(), col_.data(), val_.data(),
-                                   chunk_paired_.data(), d.data(), x.data(),
-                                   y.data());
-        break;
-      }
-      if (cpu_has_avx2()) {
-        spmv_scaled_chunks8_avx2(nchunks_, chunk_ptr_.data(),
-                                 slot_row_.data(), col_.data(), val_.data(),
-                                 d.data(), x.data(), y.data());
-        break;
-      }
-#endif
-      spmv_scaled_chunks<8>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), d.data(), x.data(),
-                            y.data());
-      break;
-    case 16:
-      spmv_scaled_chunks<16>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                             col_.data(), val_.data(), d.data(), x.data(),
-                             y.data());
-      break;
-    default:
-      spmv_scaled_chunks_any(c_, nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                             col_.data(), val_.data(), d.data(), x.data(),
-                             y.data());
-  }
+  detail::sell_spmv(*this, c_ == 8 ? best_body() : detail::SellBody::Portable,
+                    x, y, true);
 }
 
 CsrMatrix SellMatrix::to_csr() const {
@@ -606,12 +416,15 @@ CsrMatrix SellMatrix::to_csr() const {
   Vector val(static_cast<std::size_t>(row_ptr.back()));
   for (index_t k = 0; k < nchunks_; ++k) {
     const index_t base = chunk_ptr_[k];
+    const index_t* ck = col_.data() + col_ptr_[k];
+    const bool block = chunk_block_[static_cast<std::size_t>(k)] != 0;
     for (int l = 0; l < c_; ++l) {
       const auto slot = static_cast<std::size_t>(k) * c_ + l;
       const index_t row = slot_row_[slot];
       if (row < 0) continue;
       for (index_t j = 0; j < slot_len_[slot]; ++j) {
-        col[row_ptr[row] + j] = col_[base + j * c_ + l];
+        col[row_ptr[row] + j] =
+            block ? ck[(j / 2) * (c_ / 2) + l / 2] + j % 2 : ck[j * c_ + l];
         val[row_ptr[row] + j] = val_[base + j * c_ + l];
       }
     }

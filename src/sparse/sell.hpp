@@ -1,7 +1,7 @@
 // SELL-C-σ sliced-ELLPACK matrix — the vectorized SpMV storage.
 //
 // Rows are grouped into chunks of C consecutive slots; within a chunk the
-// entries are stored column-major (slot j of lane l lives at
+// values are stored column-major (step j of lane l lives at
 // base + j*C + l), so one inner-loop step advances C independent row
 // accumulators with unit-stride loads — the layout AMGCL-style backends
 // use to get SIMD out of FE matrices whose rows are too short for
@@ -10,17 +10,25 @@
 // bound zero padding; the slot→row permutation is stored and results are
 // scattered back, so callers never see the reordering.
 //
-// Bit-identity contract (what the solvers rely on): every row's partial
-// sums are accumulated in the ORIGINAL CSR column order, one add per
-// stored entry, exactly like the scalar CSR loop — the σ permutation
-// moves whole rows between slots and never reassociates a row's sum, so
-// spmv() is bit-identical to CsrMatrix::spmv for finite inputs.  Padded
-// slots contribute `+ 0.0 * x[0]`, which is exact for finite x.
+// Node-block chunks.  Vector-valued FE operators with two dofs per node
+// (plane elasticity, dofs numbered node-major) couple nodes through 2x2
+// blocks: rows 2s and 2s+1 share one column list, and that list comes
+// as (c, c+1) couples.  Conversion detects every chunk where, for each
+// lane pair (2s, 2s+1), both rows have the same even length, the same
+// columns, and columns (c, c+1) at steps (2t, 2t+1).  Such a chunk
+// stores ONE column per lane pair per block step (steps 2t and 2t+1)
+// instead of one per entry — 9 instead of 12 bytes per stored entry —
+// and the kernels load the pair x[c], x[c+1] contiguously instead of
+// gathering.  Every other chunk keeps one column per entry.
 //
-// spmv_scaled() fuses the paper's norm-1 symmetric scaling (Eq. 11) into
-// the kernel: per entry it forms t = d_row*d_col, v' = a*t, acc += v'*x —
-// the same three roundings scale_symmetric() followed by spmv() performs,
-// so the fused apply is bit-identical to scaling eagerly.
+// Bit-identity contract (what the solvers rely on): every row's partial
+// sums are accumulated in the ORIGINAL CSR column order, one mul-then-add
+// per stored entry, exactly like the scalar CSR loop — the σ permutation
+// moves whole rows between slots and never reassociates a row's sum, and
+// a node-block step adds step 2t before step 2t+1 — so spmv() is
+// bit-identical to CsrMatrix::spmv for finite inputs.  Padded steps
+// contribute `+ 0.0 * x[0]` (and `+ 0.0 * x[1]` in a node-block chunk),
+// which is exact for finite x.
 #pragma once
 
 #include <span>
@@ -29,6 +37,20 @@
 #include "sparse/csr.hpp"
 
 namespace pfem::sparse {
+
+class SellMatrix;
+
+namespace detail {
+/// Kernel bodies of the C=8 SELL apply.  spmv()/spmv_add() pick the
+/// widest one the CPU supports; tests drive each body directly.
+enum class SellBody { Portable, Avx2, Avx512 };
+/// True when `body` can run on this CPU (Portable always can).
+[[nodiscard]] bool sell_body_supported(SellBody body);
+/// spmv (add=false) or spmv_add (add=true) through one body.  The SIMD
+/// bodies cover C=8 only; other widths require SellBody::Portable.
+void sell_spmv(const SellMatrix& a, SellBody body, std::span<const real_t> x,
+               std::span<real_t> y, bool add);
+}  // namespace detail
 
 class SellMatrix {
  public:
@@ -55,17 +77,22 @@ class SellMatrix {
   [[nodiscard]] index_t stored_rows() const noexcept { return stored_rows_; }
   [[nodiscard]] int chunk() const noexcept { return c_; }
   [[nodiscard]] int sigma() const noexcept { return sigma_; }
+  [[nodiscard]] index_t chunks() const noexcept { return nchunks_; }
   /// Stored entries including zero padding (padding ratio diagnostics).
   [[nodiscard]] index_t padded_nnz() const noexcept {
     return chunk_ptr_.empty() ? 0 : chunk_ptr_.back();
   }
   /// Slot -> original row id permutation; -1 marks a padding slot.
   [[nodiscard]] std::span<const index_t> slot_row() const { return slot_row_; }
-  /// Chunks whose lane pairs (2s, 2s+1) carry identical column patterns
-  /// — vector-dof FE rows — and qualify for the half-gather kernel.
-  [[nodiscard]] index_t paired_chunks() const noexcept {
+  /// Stored column indices: padded_nnz() minus 3/4 of every node-block
+  /// chunk's entries.
+  [[nodiscard]] index_t stored_cols() const noexcept {
+    return static_cast<index_t>(col_.size());
+  }
+  /// Chunks stored as node blocks (see the header comment).
+  [[nodiscard]] index_t block_chunks() const noexcept {
     index_t n = 0;
-    for (const char p : chunk_paired_) n += p;
+    for (const char b : chunk_block_) n += b;
     return n;
   }
 
@@ -75,12 +102,6 @@ class SellMatrix {
 
   /// y[r] <- y[r] + (A x)_r for every stored row r.
   void spmv_add(std::span<const real_t> x, std::span<real_t> y) const;
-
-  /// y[r] <- (D A D x)_r — the norm-1 scaling fused into the kernel; `a`
-  /// must be the UNSCALED matrix and d the scaling diagonal (length
-  /// cols()).  Bit-identical to scale_symmetric(d) followed by spmv().
-  void spmv_scaled(std::span<const real_t> d, std::span<const real_t> x,
-                   std::span<real_t> y) const;
 
   /// Round-trip back to CSR in original row order (identity on from_csr
   /// input; subset rows of from_csr_rows input, others empty).
@@ -95,6 +116,10 @@ class SellMatrix {
   static constexpr int kDefaultChunk = 8;
 
  private:
+  friend void detail::sell_spmv(const SellMatrix&, detail::SellBody,
+                                std::span<const real_t>, std::span<real_t>,
+                                bool);
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t nnz_ = 0;
@@ -102,18 +127,17 @@ class SellMatrix {
   int c_ = 0;
   int sigma_ = 0;
   index_t nchunks_ = 0;
-  IndexVector chunk_ptr_;  ///< nchunks_+1 entry offsets (chunk k spans w*C)
+  IndexVector chunk_ptr_;  ///< nchunks_+1 value offsets (chunk k spans w*C)
+  IndexVector col_ptr_;    ///< nchunks_+1 column offsets (w*C or w*C/4)
   IndexVector slot_row_;   ///< nchunks_*C original row per lane, -1 = pad
   IndexVector slot_len_;   ///< nchunks_*C true row length per lane
-  IndexVector col_;        ///< padded, column-major per chunk
-  Vector val_;             ///< padded, column-major per chunk
-  /// Per-chunk flag: every lane pair (2s, 2s+1) has elementwise equal
-  /// column indices across the chunk width.  True for the interleaved
-  /// dof pairs of vector-valued FE problems (both dofs of a node see
-  /// the same neighbors); lets the SIMD kernels gather each x value
-  /// once and broadcast it to both lanes — same values, same mul/add
-  /// sequence, so still bit-identical.
-  std::vector<char> chunk_paired_;
+  /// Per chunk: generic chunks hold one column per entry, column-major
+  /// like the values; node-block chunks hold the column c of lane pair s
+  /// at block step t at offset t*(C/2) + s (lanes 2s and 2s+1 read
+  /// x[c] at step 2t and x[c+1] at step 2t+1).  Padding columns are 0.
+  IndexVector col_;
+  Vector val_;                     ///< padded, column-major per chunk
+  std::vector<char> chunk_block_;  ///< per chunk: 1 = node-block layout
 };
 
 }  // namespace pfem::sparse

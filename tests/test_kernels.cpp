@@ -1,14 +1,17 @@
 // SELL-C-σ kernel-layer property tests.
 //
-// The contract under test is *bit*-identity: the SELL layout, the fused
-// D K D scaling, the interior/interface row split and the overlapped
-// distributed apply must all reproduce the scalar-CSR reference to the
-// last ulp, across the synthetic generator family, every vector-friendly
-// chunk width, and the empty-row / tiny-matrix edge cases.  Every
-// comparison below is exact double equality on purpose.
+// The contract under test is *bit*-identity: the SELL layout (per-entry
+// and node-block chunks, every SIMD body), the build-time D K D fold,
+// the interior/interface row split and the overlapped distributed apply
+// must all reproduce the scalar-CSR reference to the last ulp, across
+// the synthetic generator family, 2-dof elasticity rank operators, every
+// vector-friendly chunk width, and the empty-row / tiny-matrix edge
+// cases.  Every comparison below is exact double equality on purpose.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,7 +23,10 @@
 #include "core/edd_solver.hpp"
 #include "core/kernels.hpp"
 #include "exp/experiments.hpp"
+#include "fem/assembly.hpp"
+#include "fem/families.hpp"
 #include "fem/problems.hpp"
+#include "fem/structured.hpp"
 #include "sparse/ebe_store.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/sell.hpp"
@@ -75,6 +81,26 @@ CsrMatrix ragged_matrix() {
   return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(vals));
 }
 
+/// Rows in identical pairs, the first pair of odd length 3, with
+/// columns that keep the (c, c+1) pattern across the row end into the
+/// next row: a node-block test that ignored the length would take it.
+CsrMatrix odd_pair_matrix() {
+  const std::vector<std::vector<index_t>> cols = {
+      {1, 2, 0}, {1, 2, 0}, {1, 2}, {1, 2},
+      {3, 4},    {3, 4},    {5, 6}, {5, 6}};
+  IndexVector rp(1, 0);
+  IndexVector ci;
+  Vector vals;
+  for (const auto& row : cols) {
+    for (const index_t c : row) {
+      ci.push_back(c);
+      vals.push_back(1.0 + 0.25 * static_cast<real_t>(ci.size()));
+    }
+    rp.push_back(static_cast<index_t>(ci.size()));
+  }
+  return CsrMatrix(8, 8, std::move(rp), std::move(ci), std::move(vals));
+}
+
 std::vector<CsrMatrix> matrix_family() {
   std::vector<CsrMatrix> fam;
   fam.push_back(sparse::laplace2d(7, 5));
@@ -87,6 +113,7 @@ std::vector<CsrMatrix> matrix_family() {
   fam.push_back(sparse::diagonal_matrix(eig));
   fam.push_back(sparse::convection_diffusion_2d(9, 11, 8.0, -3.0));
   fam.push_back(ragged_matrix());
+  fam.push_back(odd_pair_matrix());
   fam.push_back(sparse::tridiag(1, 3.0, 0.0));  // single row
   fam.push_back(sparse::tridiag(3, 3.0, -1.0));  // n < every chunk width
   fam.push_back(sparse::tridiag(8, 3.0, -1.0));  // n == default chunk
@@ -122,32 +149,6 @@ TEST(SellSpmv, SpmvAddBitIdenticalToCsr) {
     const SellMatrix s = SellMatrix::from_csr(a, 8);
     s.spmv_add(x, y);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
-  }
-}
-
-TEST(SellSpmv, FusedScalingBitIdenticalToEagerScaling) {
-  for (const CsrMatrix& a : matrix_family()) {
-    if (a.rows() != a.cols()) continue;
-    const std::size_t n = static_cast<std::size_t>(a.rows());
-    // Any positive diagonal exercises the rounding contract; use the
-    // paper's 1/sqrt(row norm) where rows are nonempty.
-    Vector d = a.row_norms1();
-    for (std::size_t i = 0; i < n; ++i)
-      d[i] = d[i] > 0.0 ? 1.0 / std::sqrt(d[i]) : 1.0;
-    const Vector x = test_vector(n, 31);
-
-    CsrMatrix scaled = a;
-    scaled.scale_symmetric(d);
-    Vector y_ref(n, 0.0), y(n, 0.0);
-    scaled.spmv(x, y_ref);
-
-    for (const int c : kChunks) {
-      const SellMatrix s = SellMatrix::from_csr(a, c);
-      la::fill(y, 0.0);
-      s.spmv_scaled(d, x, y);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(y[i], y_ref[i]) << "row " << i << " chunk " << c;
-    }
   }
 }
 
@@ -187,6 +188,257 @@ TEST(SellSpmv, RowSubsetBlocksComposeToFullApply) {
     so.spmv(x, y);
     s0.spmv(x, y);  // no-op on empty subset
     for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]);
+  }
+}
+
+// ---- Node-block chunks: 2-dof elasticity operators, whose lane pairs
+// qualify for the one-column-per-2x2-block layout, must stay exact in
+// every apply form and kernel body; operators that do not qualify must
+// fall back chunk by chunk.
+
+/// A converted operator: `a` with only `rows` stored (all rows when
+/// `rows` is empty).
+struct ElasticityCase {
+  std::string name;
+  std::shared_ptr<const CsrMatrix> a;
+  IndexVector rows;
+};
+
+/// Interior rows (not interface and coupled to no interface column) and
+/// the rest — the same split RankKernel builds with overlap on.
+void split_rows(const CsrMatrix& a, std::span<const index_t> iface,
+                IndexVector& interior, IndexVector& coupled) {
+  std::vector<char> is_iface(static_cast<std::size_t>(a.rows()), 0);
+  for (const index_t i : iface) is_iface[static_cast<std::size_t>(i)] = 1;
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  for (index_t i = 0; i < a.rows(); ++i) {
+    bool inner = is_iface[static_cast<std::size_t>(i)] == 0;
+    for (index_t k = rp[i]; inner && k < rp[i + 1]; ++k)
+      inner = is_iface[static_cast<std::size_t>(ci[k])] == 0;
+    (inner ? interior : coupled).push_back(i);
+  }
+}
+
+/// The rank operators of `part`: full, coupled and interior per rank.
+void add_rank_cases(const std::string& tag,
+                    const partition::EddPartition& part,
+                    std::vector<ElasticityCase>& out) {
+  for (int r = 0; r < part.nparts(); ++r) {
+    const auto& sub = part.subs[static_cast<std::size_t>(r)];
+    auto a = std::make_shared<const CsrMatrix>(sub.k_loc);
+    IndexVector interior, coupled;
+    split_rows(*a, sub.interface_local_dofs, interior, coupled);
+    const std::string rank = tag + " rank " + std::to_string(r);
+    out.push_back({rank + " full", a, {}});
+    out.push_back({rank + " coupled", a, coupled});
+    out.push_back({rank + " interior", a, interior});
+  }
+}
+
+/// Q4 plate whose x = 0 edge is on rollers (only the x component fixed)
+/// and whose corner node is pinned: the lone free y dofs shift the
+/// node-major pairing and the rows next to the rollers have odd length.
+CsrMatrix roller_plate() {
+  const fem::Mesh mesh = fem::structured_quad(9, 5, 9.0, 5.0);
+  fem::DofMap dofs(mesh.num_nodes(), 2);
+  const IndexVector edge = mesh.nodes_at_x(0.0);
+  for (const index_t n : edge) dofs.fix(n, 0);
+  dofs.fix(edge.front(), 1);
+  dofs.finalize();
+  return fem::assemble(mesh, dofs, fem::Material{}, fem::Operator::Stiffness);
+}
+
+const std::vector<ElasticityCase>& elasticity_cases() {
+  static const std::vector<ElasticityCase> cases = [] {
+    std::vector<ElasticityCase> c;
+    add_rank_cases("Mesh10 P=4",
+                   exp::make_edd(fem::make_table2_cantilever(10), 4), c);
+    fem::CantileverSpec q8;
+    q8.nx = 12;
+    q8.ny = 5;
+    q8.elem_type = fem::ElemType::Quad8;
+    const fem::CantileverProblem q8p = fem::make_cantilever(q8);
+    c.push_back({"Q8 12x5", std::make_shared<const CsrMatrix>(q8p.stiffness),
+                 {}});
+    add_rank_cases("Q8 12x5 P=3", exp::make_edd(q8p, 3), c);
+    c.push_back({"roller plate",
+                 std::make_shared<const CsrMatrix>(roller_plate()), {}});
+    return c;
+  }();
+  return cases;
+}
+
+SellMatrix convert(const ElasticityCase& ec, int chunk) {
+  return ec.rows.empty() ? SellMatrix::from_csr(*ec.a, chunk)
+                         : SellMatrix::from_csr_rows(*ec.a, ec.rows, chunk);
+}
+
+/// The stored rows of `ec` (all rows when its subset is empty).
+IndexVector stored_rows(const ElasticityCase& ec) {
+  if (!ec.rows.empty()) return ec.rows;
+  IndexVector all(static_cast<std::size_t>(ec.a->rows()));
+  for (index_t i = 0; i < ec.a->rows(); ++i)
+    all[static_cast<std::size_t>(i)] = i;
+  return all;
+}
+
+TEST(SellBlock, ElasticityBitIdenticalToCsr) {
+  for (const ElasticityCase& ec : elasticity_cases()) {
+    const CsrMatrix& a = *ec.a;
+    const std::size_t n = static_cast<std::size_t>(a.rows());
+    const Vector x = test_vector(static_cast<std::size_t>(a.cols()), 53);
+    const Vector y0 = test_vector(n, 59);
+    Vector y_ref(n, 0.0), y_add_ref = y0;
+    a.spmv(x, y_ref);
+    a.spmv_add(x, y_add_ref);
+    const IndexVector rows = stored_rows(ec);
+    for (const int c : {4, 8, 16}) {
+      const SellMatrix s = convert(ec, c);
+      Vector y(n, -1.0e300), y_add = y0;
+      s.spmv(x, y);
+      s.spmv_add(x, y_add);
+      for (const index_t r : rows) {
+        ASSERT_EQ(y[r], y_ref[r]) << ec.name << " row " << r << " C=" << c;
+        ASSERT_EQ(y_add[r], y_add_ref[r])
+            << ec.name << " row " << r << " C=" << c;
+      }
+      // Rows outside the subset are left alone.
+      std::size_t untouched = 0;
+      for (std::size_t i = 0; i < n; ++i) untouched += y[i] == -1.0e300;
+      EXPECT_EQ(untouched, n - rows.size()) << ec.name;
+    }
+  }
+}
+
+TEST(SellBlock, ElasticityRoundTripsToCsrExactly) {
+  for (const ElasticityCase& ec : elasticity_cases()) {
+    const CsrMatrix& a = *ec.a;
+    const auto rp = a.row_ptr();
+    const auto ci = a.col_idx();
+    const auto v = a.values();
+    for (const int c : {4, 8, 16}) {
+      const CsrMatrix back = convert(ec, c).to_csr();
+      ASSERT_EQ(back.rows(), a.rows());
+      ASSERT_EQ(back.cols(), a.cols());
+      const auto rp2 = back.row_ptr();
+      const auto ci2 = back.col_idx();
+      const auto v2 = back.values();
+      for (const index_t r : stored_rows(ec)) {
+        ASSERT_EQ(rp2[r + 1] - rp2[r], rp[r + 1] - rp[r]) << ec.name;
+        for (index_t j = 0; j < rp[r + 1] - rp[r]; ++j) {
+          ASSERT_EQ(ci2[rp2[r] + j], ci[rp[r] + j]) << ec.name << " C=" << c;
+          ASSERT_EQ(v2[rp2[r] + j], v[rp[r] + j]) << ec.name << " C=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(SellBlock, EverySupportedBodyBitIdentical) {
+  using sparse::detail::SellBody;
+  std::vector<ElasticityCase> cases = elasticity_cases();
+  for (CsrMatrix& a : matrix_family())
+    cases.push_back({"family", std::make_shared<const CsrMatrix>(a), {}});
+  int bodies = 0;
+  for (const SellBody body :
+       {SellBody::Portable, SellBody::Avx2, SellBody::Avx512}) {
+    if (!sparse::detail::sell_body_supported(body)) continue;
+    ++bodies;
+    for (const ElasticityCase& ec : cases) {
+      const CsrMatrix& a = *ec.a;
+      const std::size_t n = static_cast<std::size_t>(a.rows());
+      const Vector x = test_vector(static_cast<std::size_t>(a.cols()), 61);
+      const Vector y0 = test_vector(n, 67);
+      Vector y_ref(n, 0.0), y_add_ref = y0;
+      a.spmv(x, y_ref);
+      a.spmv_add(x, y_add_ref);
+      const SellMatrix s = convert(ec, 8);
+      Vector y(n, 0.0), y_add = y0;
+      sparse::detail::sell_spmv(s, body, x, y, false);
+      sparse::detail::sell_spmv(s, body, x, y_add, true);
+      for (const index_t r : stored_rows(ec)) {
+        ASSERT_EQ(y[r], y_ref[r])
+            << ec.name << " body " << static_cast<int>(body) << " row " << r;
+        ASSERT_EQ(y_add[r], y_add_ref[r])
+            << ec.name << " body " << static_cast<int>(body) << " row " << r;
+      }
+    }
+  }
+  EXPECT_GE(bodies, 1);
+  // The SIMD bodies cover C=8 only; asking for one at another width is
+  // a typed error, not a silent fallback.
+  const SellMatrix s4 = SellMatrix::from_csr(sparse::laplace2d(4, 4), 4);
+  Vector x(16, 1.0), y(16, 0.0);
+  for (const SellBody body : {SellBody::Avx2, SellBody::Avx512})
+    EXPECT_THROW(sparse::detail::sell_spmv(s4, body, x, y, false), Error);
+}
+
+TEST(SellBlock, SplitRankKernelOnElasticityBitIdentical) {
+  const partition::EddPartition part =
+      exp::make_edd(fem::make_table2_cantilever(6), 4);
+  for (const auto& sub : part.subs) {
+    const CsrMatrix& k = sub.k_loc;
+    const std::size_t n = static_cast<std::size_t>(k.rows());
+    Vector d = k.row_norms1();
+    for (auto& di : d) di = 1.0 / std::sqrt(di);
+    CsrMatrix scaled = k;
+    scaled.scale_symmetric(d);
+    const Vector x = test_vector(n, 71);
+    Vector y_ref(n, 0.0);
+    scaled.spmv(x, y_ref);
+    for (const int c : kChunks) {
+      KernelOptions ko;
+      ko.chunk = c;
+      const RankKernel kern(k, Vector(d), sub.interface_local_dofs, ko);
+      ASSERT_TRUE(kern.split());
+      Vector y(n, 0.0), y2(n, -1.0e300);
+      kern.apply(x, y);
+      kern.apply_coupled(x, y2);
+      kern.apply_interior(x, y2);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(y[i], y_ref[i]) << "dof " << i << " C=" << c;
+        ASSERT_EQ(y2[i], y_ref[i]) << "dof " << i << " C=" << c;
+      }
+    }
+  }
+}
+
+TEST(SellBlock, TableTwoRankOperatorsAreNodeBlocked) {
+  // A silent fallback to per-entry columns would only show as a slower
+  // benchmark; pin the layout here instead.
+  for (int mesh = 2; mesh <= 10; mesh += 4) {
+    std::vector<ElasticityCase> cases;
+    add_rank_cases("Mesh" + std::to_string(mesh) + " P=4",
+                   exp::make_edd(fem::make_table2_cantilever(mesh), 4),
+                   cases);
+    for (const ElasticityCase& ec : cases) {
+      const SellMatrix s = convert(ec, 0);
+      EXPECT_GE(static_cast<double>(s.block_chunks()),
+                0.95 * static_cast<double>(s.chunks()))
+          << ec.name << ": " << s.block_chunks() << " of " << s.chunks();
+      // Node blocks store a quarter of the per-entry columns.
+      if (s.block_chunks() == s.chunks()) {
+        EXPECT_EQ(4 * s.stored_cols(), s.padded_nnz()) << ec.name;
+      }
+    }
+  }
+  // The constrained plate still has block chunks where pairing holds,
+  // but its shifted and odd-length rows must fall back.
+  const SellMatrix roller = SellMatrix::from_csr(roller_plate());
+  EXPECT_GT(roller.block_chunks(), 0);
+  EXPECT_LT(roller.block_chunks(), roller.chunks());
+}
+
+TEST(SellBlock, ScalarAndThreeDofFamiliesKeepPerEntryColumns) {
+  for (const std::string fam : {"hetero2d", "brick3d"}) {
+    const fem::FamilyProblem fp = fem::make_problem(fem::default_spec(fam));
+    const SellMatrix g = SellMatrix::from_csr(fp.prob.stiffness);
+    EXPECT_EQ(g.block_chunks(), 0) << fam;
+    EXPECT_EQ(g.stored_cols(), g.padded_nnz()) << fam;
+    const partition::EddPartition part = exp::make_edd(fp, 2);
+    for (const auto& sub : part.subs)
+      EXPECT_EQ(SellMatrix::from_csr(sub.k_loc).block_chunks(), 0) << fam;
   }
 }
 
