@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "core/edd_kernels.hpp"
 #include "la/vector_ops.hpp"
 
@@ -93,57 +92,37 @@ namespace {
 
 using detail::DistPoly;
 using detail::EddRank;
-using detail::spmv_exchange;
 using detail::sqrt_nonneg;
 using partition::EddPartition;
 using partition::EddSubdomain;
-using sparse::CsrMatrix;
 
-struct SharedOut {
-  std::vector<Vector> solutions;
-  bool converged = false;
-  index_t iterations = 0;
-  real_t final_relres = 0.0;
-  std::vector<real_t> history;
-  std::vector<par::PerfCounters> setup_counters;
-};
-
-void edd_bicgstab_rank(const EddPartition& part, const CsrMatrix& k_in,
-                       std::span<const real_t> f_global, const PolySpec& spec,
-                       const SolveOptions& opts, par::Comm& comm,
-                       SharedOut& out) {
+void edd_bicgstab_rank(const EddPartition& part, const EddOperatorState& op,
+                       std::span<const real_t> f_global,
+                       const SolveOptions& opts, par::Comm& comm, Vector& u,
+                       SolveReport& report) {
   const int rank = comm.rank();
   const EddSubdomain& sub = part.subs[static_cast<std::size_t>(rank)];
   EddRank r(sub, comm);
   const std::size_t nl = r.nl();
-
-  // Setup: identical to the other EDD solvers (Algorithms 3/4).
-  Vector f_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    f_loc[l] =
-        f_global[static_cast<std::size_t>(sub.local_to_global[l])] /
-        static_cast<real_t>(sub.multiplicity[l]);
-  Vector d = k_in.row_norms1();
-  r.counters().flops += static_cast<std::uint64_t>(k_in.nnz());
-  r.exchange(d);
-  for (std::size_t l = 0; l < nl; ++l) {
-    PFEM_CHECK_MSG(d[l] > 0.0, "norm-1 scaling: zero row");
-    d[l] = 1.0 / std::sqrt(d[l]);
-  }
-  const RankKernel a(k_in, Vector(d), sub.interface_local_dofs, opts.kernels);
-  r.counters().flops += 2ull * static_cast<std::uint64_t>(k_in.nnz());
-  Vector b_glob(nl);
-  for (std::size_t l = 0; l < nl; ++l) b_glob[l] = d[l] * f_loc[l];
-  r.exchange(b_glob);  // rhs in global format once and for all
-
-  DistPoly poly(spec, nl, &r.counters());
-  out.setup_counters[static_cast<std::size_t>(rank)] = comm.counters();
+  const Vector& d = op.d[static_cast<std::size_t>(rank)];
+  const RankKernel& a = op.kern[static_cast<std::size_t>(rank)];
+  DistPoly poly(op, nl, 1, /*local=*/false);
 
   // Distributed mat-vec: global -> global (one exchange, overlapped with
   // the interior block when the kernel is split).
-  auto matvec = [&](std::span<const real_t> in, std::span<real_t> res) {
-    spmv_exchange(r, a, in, res);
+  auto matvec = [&](const Vector& in, Vector& res) {
+    const Vector* const xs[1] = {&in};
+    Vector* const ys[1] = {&res};
+    detail::spmv_exchange(r, a, xs, ys);
   };
+
+  // RHS in global format once and for all: b = ⊕Σ D̂ (f_loc / mult).
+  Vector b_glob(nl);
+  for (std::size_t l = 0; l < nl; ++l)
+    b_glob[l] = d[l] * (f_global[static_cast<std::size_t>(
+                            sub.local_to_global[l])] /
+                        static_cast<real_t>(sub.multiplicity[l]));
+  r.exchange(b_glob);
 
   // All vectors in global distributed format.
   Vector x(nl, 0.0), rr(nl), rhat(nl), p(nl, 0.0), v(nl, 0.0);
@@ -152,14 +131,9 @@ void edd_bicgstab_rank(const EddPartition& part, const CsrMatrix& k_in,
   for (std::size_t l = 0; l < nl; ++l) rr[l] = b_glob[l] - rr[l];
   const real_t beta0 = sqrt_nonneg(r.norm2_sq_global(rr));
 
-  bool converged = false;
   index_t iterations = 0;
-  real_t relres = beta0 == 0.0 ? 0.0 : 1.0;
   std::vector<real_t> history;
-
-  if (beta0 == 0.0) {
-    converged = true;
-  } else {
+  if (beta0 > 0.0) {
     la::copy(rr, rhat);
     real_t rho = 1.0, alpha = 1.0, omega = 1.0;
     while (iterations < opts.max_iters) {
@@ -173,22 +147,21 @@ void edd_bicgstab_rank(const EddPartition& part, const CsrMatrix& k_in,
       r.counters().flops += 4 * nl;
       r.counters().vector_updates += 1;
 
-      poly.apply_global(r, a, p, phat);
+      poly.apply(r, a, p, phat);
       matvec(phat, v);
       alpha = rho / r.dot_gg(rhat, v);
       for (std::size_t l = 0; l < nl; ++l) s[l] = rr[l] - alpha * v[l];
       r.counters().flops += 2 * nl;
       ++iterations;
 
-      relres = sqrt_nonneg(r.norm2_sq_global(s)) / beta0;
-      if (relres <= opts.tol) {
+      const real_t s_relres = sqrt_nonneg(r.norm2_sq_global(s)) / beta0;
+      if (s_relres <= opts.tol) {
         la::axpy(alpha, phat, x);
-        history.push_back(relres);
-        converged = true;
+        history.push_back(s_relres);
         break;
       }
 
-      poly.apply_global(r, a, s, shat);
+      poly.apply(r, a, s, shat);
       matvec(shat, t);
       const real_t tt = r.norm2_sq_global(t);
       PFEM_CHECK_MSG(tt > 0.0, "EDD-BiCGSTAB breakdown: ||t|| = 0");
@@ -199,12 +172,9 @@ void edd_bicgstab_rank(const EddPartition& part, const CsrMatrix& k_in,
       }
       r.counters().flops += 6 * nl;
       r.counters().vector_updates += 2;
-      relres = sqrt_nonneg(r.norm2_sq_global(rr)) / beta0;
+      const real_t relres = sqrt_nonneg(r.norm2_sq_global(rr)) / beta0;
       history.push_back(relres);
-      if (relres <= opts.tol) {
-        converged = true;
-        break;
-      }
+      if (relres <= opts.tol) break;
     }
   }
 
@@ -213,15 +183,16 @@ void edd_bicgstab_rank(const EddPartition& part, const CsrMatrix& k_in,
   for (std::size_t l = 0; l < nl; ++l) rr[l] = b_glob[l] - rr[l];
   const real_t final_relres =
       beta0 > 0.0 ? sqrt_nonneg(r.norm2_sq_global(rr)) / beta0 : 0.0;
-  Vector u(nl);
+  u.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * x[l];
-  out.solutions[static_cast<std::size_t>(rank)] = std::move(u);
 
   if (rank == 0) {
-    out.converged = converged || final_relres <= opts.tol;
-    out.iterations = iterations;
-    out.final_relres = final_relres;
-    out.history = std::move(history);
+    // The recursive residual only proposes convergence; the final TRUE
+    // residual decides it.
+    report.final_relres = final_relres;
+    report.converged = final_relres <= opts.tol;
+    report.iterations = iterations;
+    report.history = std::move(history);
   }
 }
 
@@ -234,34 +205,12 @@ DistSolve solve_edd_bicgstab(
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
   PFEM_CHECK_MSG(opts.max_iters >= 1 && opts.tol > 0.0,
                  "solve_edd_bicgstab: need max_iters >= 1 and tol > 0");
-  validate_poly_spec(spec);
-  if (local_matrices != nullptr)
-    PFEM_CHECK(local_matrices->size() == part.subs.size());
-  const int p = part.nparts();
-
-  SharedOut out;
-  out.solutions.resize(static_cast<std::size_t>(p));
-  out.setup_counters.resize(static_cast<std::size_t>(p));
-
-  WallTimer timer;
-  std::vector<par::PerfCounters> counters =
-      par::run_spmd(p, [&](par::Comm& comm) {
-        const auto s = static_cast<std::size_t>(comm.rank());
-        const sparse::CsrMatrix& k =
-            local_matrices ? (*local_matrices)[s] : part.subs[s].k_loc;
-        edd_bicgstab_rank(part, k, f_global, spec, opts, comm, out);
+  return detail::solve_one_shot(
+      part, spec, opts, local_matrices,
+      [&](par::Comm& comm, const EddOperatorState& op, Vector& u,
+          SolveReport& report) {
+        edd_bicgstab_rank(part, op, f_global, opts, comm, u, report);
       });
-
-  DistSolve result;
-  result.wall_seconds = timer.seconds();
-  result.x = partition::edd_gather_global(part, out.solutions);
-  result.converged = out.converged;
-  result.iterations = out.iterations;
-  result.final_relres = out.final_relres;
-  result.history = std::move(out.history);
-  result.rank_counters = std::move(counters);
-  result.setup_counters = std::move(out.setup_counters);
-  return result;
 }
 
 }  // namespace pfem::core

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "core/edd_kernels.hpp"
 #include "la/vector_ops.hpp"
 
@@ -84,48 +83,24 @@ using detail::EddRank;
 using detail::sqrt_nonneg;
 using partition::EddPartition;
 using partition::EddSubdomain;
-using sparse::CsrMatrix;
 
-struct SharedOut {
-  std::vector<Vector> solutions;
-  bool converged = false;
-  index_t iterations = 0;
-  real_t final_relres = 0.0;
-  std::vector<real_t> history;
-  std::vector<par::PerfCounters> setup_counters;
-};
-
-void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
-                       const sparse::EbeStore* elems,
-                       std::span<const real_t> f_global, const PolySpec& spec,
-                       const SolveOptions& opts, par::Comm& comm,
-                       SharedOut& out) {
+void edd_cg_rank(const EddPartition& part, const EddOperatorState& op,
+                 std::span<const real_t> f_global, const SolveOptions& opts,
+                 par::Comm& comm, Vector& u, SolveReport& report) {
   const int s = comm.rank();
   const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
   EddRank r(sub, comm);
   const std::size_t nl = r.nl();
+  const Vector& d = op.d[static_cast<std::size_t>(s)];
+  const RankKernel& a = op.kern[static_cast<std::size_t>(s)];
+  DistPoly poly(op, nl, 1, /*local=*/false);
 
-  // ---- Setup: identical to the FGMRES path (Algorithms 3/4).
-  Vector f_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    f_loc[l] =
-        f_global[static_cast<std::size_t>(sub.local_to_global[l])] /
-        static_cast<real_t>(sub.multiplicity[l]);
-  Vector d = k_in.row_norms1();
-  r.counters().flops += static_cast<std::uint64_t>(k_in.nnz());
-  r.exchange(d);
-  for (std::size_t l = 0; l < nl; ++l) {
-    PFEM_CHECK_MSG(d[l] > 0.0, "norm-1 scaling: zero row");
-    d[l] = 1.0 / std::sqrt(d[l]);
-  }
-  const RankKernel a(k_in, Vector(d), sub.interface_local_dofs, opts.kernels,
-                     elems);
-  r.counters().flops += 2ull * static_cast<std::uint64_t>(k_in.nnz());
+  // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
   Vector b_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l) b_loc[l] = d[l] * f_loc[l];
-
-  DistPoly poly(spec, nl, &r.counters());
-  out.setup_counters[static_cast<std::size_t>(s)] = comm.counters();
+  for (std::size_t l = 0; l < nl; ++l)
+    b_loc[l] = d[l] * (f_global[static_cast<std::size_t>(
+                           sub.local_to_global[l])] /
+                       static_cast<real_t>(sub.multiplicity[l]));
 
   // ---- PCG.  x, p, z in global format; residual kept in both formats.
   Vector x(nl, 0.0), r_loc(nl), r_glob(nl), z(nl), p(nl), ap_loc(nl);
@@ -134,16 +109,10 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
   r.exchange(r_glob);
   const real_t beta0 = sqrt_nonneg(r.dot_lg(r_loc, r_glob));
 
-  bool converged = false;
   index_t iterations = 0;
-  real_t relres = 1.0;
   std::vector<real_t> history;
-
-  if (beta0 == 0.0) {
-    converged = true;
-    relres = 0.0;
-  } else {
-    poly.apply_global(r, a, r_glob, z);  // z = P(A) r  (m exchanges)
+  if (beta0 > 0.0) {
+    poly.apply(r, a, r_glob, z);  // z = P(A) r  (m exchanges)
     la::copy(z, p);
     real_t rho = r.dot_lg(r_loc, z);
 
@@ -162,14 +131,11 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
       r.counters().vector_updates += 2;
       ++iterations;
 
-      relres = sqrt_nonneg(r.dot_lg(r_loc, r_glob)) / beta0;
+      const real_t relres = sqrt_nonneg(r.dot_lg(r_loc, r_glob)) / beta0;
       history.push_back(relres);
-      if (relres <= opts.tol) {
-        converged = true;
-        break;
-      }
+      if (relres <= opts.tol) break;
 
-      poly.apply_global(r, a, r_glob, z);  // m exchanges
+      poly.apply(r, a, r_glob, z);  // m exchanges
       const real_t rho_new = r.dot_lg(r_loc, z);
       if (rho == 0.0) break;  // underflowed inner product: stagnated
       const real_t beta = rho_new / rho;
@@ -187,66 +153,36 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
   Vector check_glob(check_loc);
   r.exchange(check_glob);
   const real_t final_res = sqrt_nonneg(r.dot_lg(check_loc, check_glob));
-  const real_t final_relres = beta0 > 0.0 ? final_res / beta0 : 0.0;
 
-  Vector u(nl);
+  u.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * x[l];
-  out.solutions[static_cast<std::size_t>(s)] = std::move(u);
 
   if (s == 0) {
-    out.converged = converged || final_relres <= opts.tol;
-    out.iterations = iterations;
-    out.final_relres = final_relres;
-    out.history = std::move(history);
+    // The recursive residual only proposes convergence; the final TRUE
+    // residual decides it (a trivial RHS reports 0, which always meets a
+    // positive tol).
+    report.final_relres = beta0 > 0.0 ? final_res / beta0 : 0.0;
+    report.converged = report.final_relres <= opts.tol;
+    report.iterations = iterations;
+    report.history = std::move(history);
   }
 }
 
 }  // namespace
 
 DistSolve solve_edd_cg(const EddPartition& part,
-                             std::span<const real_t> f_global,
-                             const PolySpec& spec, const SolveOptions& opts,
-                             const std::vector<sparse::CsrMatrix>* local_matrices) {
+                       std::span<const real_t> f_global, const PolySpec& spec,
+                       const SolveOptions& opts,
+                       const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
   PFEM_CHECK_MSG(opts.max_iters >= 1 && opts.tol > 0.0,
                  "solve_edd_cg: max_iters must be >= 1 and tol > 0");
-  validate_poly_spec(spec);
-  if (local_matrices != nullptr)
-    PFEM_CHECK(local_matrices->size() == part.subs.size());
-  // Matrix override + matrix-free kernel: the element store would be
-  // stale — same guard as solve_edd.
-  PFEM_CHECK_MSG(!(opts.kernels.format == KernelOptions::Format::Ebe &&
-                   local_matrices != nullptr),
-                 "Format::Ebe cannot be combined with a local-matrix "
-                 "override: the partition's element store holds the "
-                 "originally assembled operator, not the override");
-  const int p = part.nparts();
-
-  SharedOut out;
-  out.solutions.resize(static_cast<std::size_t>(p));
-  out.setup_counters.resize(static_cast<std::size_t>(p));
-
-  WallTimer timer;
-  std::vector<par::PerfCounters> counters =
-      par::run_spmd(p, [&](par::Comm& comm) {
-        const auto s = static_cast<std::size_t>(comm.rank());
-        const sparse::CsrMatrix& k =
-            local_matrices ? (*local_matrices)[s] : part.subs[s].k_loc;
-        const sparse::EbeStore* const elems =
-            local_matrices ? nullptr : part.subs[s].elem_store.get();
-        edd_cg_rank_solve(part, k, elems, f_global, spec, opts, comm, out);
+  return detail::solve_one_shot(
+      part, spec, opts, local_matrices,
+      [&](par::Comm& comm, const EddOperatorState& op, Vector& u,
+          SolveReport& report) {
+        edd_cg_rank(part, op, f_global, opts, comm, u, report);
       });
-
-  DistSolve result;
-  result.wall_seconds = timer.seconds();
-  result.x = partition::edd_gather_global(part, out.solutions);
-  result.converged = out.converged;
-  result.iterations = out.iterations;
-  result.final_relres = out.final_relres;
-  result.history = std::move(out.history);
-  result.rank_counters = std::move(counters);
-  result.setup_counters = std::move(out.setup_counters);
-  return result;
 }
 
 }  // namespace pfem::core

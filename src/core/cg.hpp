@@ -33,7 +33,10 @@ namespace pfem::core {
                               const SolveOptions& opts = {});
 
 /// EDD-distributed PCG with polynomial preconditioning, on the same
-/// partition structures and with the same norm-1 scaling as solve_edd().
+/// operator build (build_edd_operator: norm-1 scaling, kernels,
+/// polynomial) as solve_edd().  `converged` is decided by the final true
+/// residual; a zero row of the assembled operator throws
+/// BadOperatorError.
 [[nodiscard]] DistSolve solve_edd_cg(
     const partition::EddPartition& part, std::span<const real_t> f_global,
     const PolySpec& poly, const SolveOptions& opts = {},

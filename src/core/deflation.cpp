@@ -177,29 +177,6 @@ void DeflationRank::accumulate_e(const sparse::CsrMatrix& k,
   }
 }
 
-void DeflationRank::accumulate_e_scaled(const sparse::CsrMatrix& a_scaled,
-                                        la::DenseMatrix& e) const {
-  PFEM_CHECK(e.rows() == ncoarse_ && e.cols() == ncoarse_);
-  const auto rp = a_scaled.row_ptr();
-  const auto ci = a_scaled.col_idx();
-  const auto vals = a_scaled.values();
-  const auto nb = static_cast<std::size_t>(nbasis_);
-  for (index_t i = 0; i < a_scaled.rows(); ++i) {
-    const auto si = static_cast<std::size_t>(i);
-    const index_t ci0 = col0_[si];
-    for (index_t nz = rp[si]; nz < rp[si + 1]; ++nz) {
-      const auto j = static_cast<std::size_t>(ci[static_cast<std::size_t>(nz)]);
-      const real_t a_ij = vals[static_cast<std::size_t>(nz)];
-      const index_t cj0 = col0_[j];
-      for (std::size_t b1 = 0; b1 < nb; ++b1)
-        for (std::size_t b2 = 0; b2 < nb; ++b2)
-          e(ci0 + static_cast<index_t>(b1) * comps_,
-            cj0 + static_cast<index_t>(b2) * comps_) +=
-              val_[si * nb + b1] * a_ij * val_[j * nb + b2];
-    }
-  }
-}
-
 void DeflationRank::restrict_local(std::span<const real_t> v_loc,
                                    std::span<real_t> c) const {
   PFEM_CHECK(v_loc.size() == col0_.size());

@@ -123,10 +123,9 @@ struct DeflationOptions {
 void validate_deflation(const DeflationOptions& opts, index_t n_global);
 
 /// The replicated coarse operator: E = ZᵀÂZ, LU-factorized once.
-/// solve() is const and allocation-free, so one instance may be shared
-/// read-only by every rank (the batch path) or built redundantly per
-/// rank from allreduced — hence bit-identical — E entries (the one-shot
-/// path).
+/// solve() is const and allocation-free, so one instance built from the
+/// allreduced — hence bit-identical on every rank — E entries is shared
+/// read-only by every rank of every solve on the operator.
 class CoarseOperator {
  public:
   /// Takes the fully assembled (allreduced) E.  Structurally empty rows
@@ -181,10 +180,6 @@ class DeflationRank {
   /// by the local-format sum identity Â = Σ_s B_sᵀ Â_loc B_s.
   void accumulate_e(const sparse::CsrMatrix& k, std::span<const real_t> d,
                     la::DenseMatrix& e) const;
-
-  /// Same, for a pre-scaled local matrix Â_loc (the batch path's op.a).
-  void accumulate_e_scaled(const sparse::CsrMatrix& a_scaled,
-                           la::DenseMatrix& e) const;
 
   /// c += partial of Zᵀv, v in LOCAL distributed format (partial sums;
   /// allreduce completes the restriction).

@@ -1,17 +1,18 @@
-// Warm-path EDD solves: explicit setup/apply split and multi-RHS
-// batching on a persistent rank team.
-//
-// solve_edd() pays the full setup on every call — a fresh thread team,
-// the Algorithms-3/4 norm-1 scaling, and the redundant polynomial build —
-// which is exactly the amortizable state for workloads that stream many
-// solves against a slowly-changing operator (time stepping, a solve
-// service).  This module splits the pipeline:
+// The EDD-FGMRES engine's public face: an explicit setup/apply split
+// and multi-RHS batching on a persistent rank team.
 //
 //   par::Team team(P);                                   // threads parked
 //   EddOperatorState op = build_edd_operator(team, part, spec);  // once
 //   BatchSolveResult r = solve_edd_batch(team, part, op, rhs_batch);
 //
-// The batch solve runs a loop-fused enhanced EDD-FGMRES (Algorithm 6)
+// build_edd_operator runs the Algorithms-3/4 norm-1 scaling, the rank
+// kernels, the polynomial build and (optionally) the deflation coarse
+// operator once; every later solve reuses that state.  One engine runs
+// every EDD-FGMRES solve in the repo: solve_edd() is a one-shot team,
+// one build and a width-1 run of the same loop in the caller's variant
+// and reduction discipline.
+//
+// solve_edd_batch runs a loop-fused enhanced EDD-FGMRES (Algorithm 6)
 // over all right-hand sides at once: each Arnoldi step still performs m
 // polynomial-recursion exchanges plus 1 basis exchange *in total* — each
 // fused message carries every RHS's shared-dof section — and the
@@ -34,16 +35,16 @@
 
 namespace pfem::core {
 
-/// Prebuilt per-operator state: everything solve_edd recomputes per call
-/// that only depends on (matrix, PolySpec).  Build once, solve many.
+/// Prebuilt per-operator state: everything a solve needs that only
+/// depends on (matrix, PolySpec, kernel and deflation options).  Build
+/// once, solve many.
 struct EddOperatorState {
   PolySpec poly;                   ///< the spec the preconditioner was built for
-  std::vector<sparse::CsrMatrix> a;  ///< per-rank Â = D̂ K̂ D̂ (Eq. 44)
   std::vector<Vector> d;             ///< per-rank scaling 1/sqrt(d_i) (Eq. 43)
   KernelOptions kernels;             ///< format/overlap the kernels were built for
-  /// Per-rank apply kernels (SELL-C-σ blocks or scalar CSR, interior/
-  /// interface split per `kernels`).  A state without them (hand-built)
-  /// falls back to a scalar-CSR view of `a` at solve time.
+  /// Per-rank apply kernels for Â = D̂ K̂ D̂ (Eq. 44): SELL-C-σ blocks,
+  /// scalar CSR or element matrices, each holding its own scaled copy of
+  /// the entries, interior/interface split per `kernels`.
   std::vector<RankKernel> kern;
   /// Prebuilt polynomial recursion data (shared read-only by all ranks;
   /// null for kinds that need none).
@@ -53,17 +54,17 @@ struct EddOperatorState {
   /// factorized coarse operator E = ZᵀÂZ (null when deflation is off).
   /// Cached alongside the operator — a service cache hit reuses the
   /// coarse factorization together with the scaling and kernels.  The
-  /// batch solve takes its deflation setup from HERE, not from
-  /// SolveOptions (the correction is operator state, like the
-  /// polynomial).
+  /// engine takes its deflation setup from HERE, not from SolveOptions
+  /// (the correction is operator state, like the polynomial).
   DeflationOptions deflation;
   std::shared_ptr<const CoarseOperator> coarse;
   std::vector<par::PerfCounters> setup_counters;  ///< scaling exchange/flops
   double setup_seconds = 0.0;  ///< wall time of the whole build
 };
 
-/// Run the distributed norm-1 scaling and the polynomial build once on a
-/// warm team.  @param local_matrices optional override of
+/// Run the distributed norm-1 scaling, the kernel build and the
+/// polynomial build once on a warm team.  A globally zero row of the
+/// assembled operator throws BadOperatorError.  @param local_matrices optional override of
 /// part.subs[s].k_loc (same dof layout), e.g. a dynamic effective
 /// stiffness — passing an updated set is how time stepping refreshes the
 /// operator without repartitioning.
@@ -101,7 +102,8 @@ struct BatchSolveResult {
   std::shared_ptr<const obs::Trace> trace;
   /// Non-empty when the batch died on a typed communication failure
   /// (channel timeout / injected crash): x is empty and every item
-  /// carries the error plus whatever history it accumulated.  The
+  /// carries the error plus whatever history it accumulated (its
+  /// iterations and restarts count exactly that history).  The
   /// service's retry policy keys off this field.
   std::string comm_error;
 

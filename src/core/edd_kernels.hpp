@@ -1,33 +1,28 @@
-// Internal rank-local kernels shared by the EDD solvers (FGMRES and CG):
-// the nearest-neighbor exchange (monolithic and split into start/finish
-// halves for compute overlap), distributed inner products in the two
-// vector formats, and the distributed polynomial application
-// (Algorithm 7 generalized to Neumann and GLS, in both the local- and
-// global-format disciplines).  Not part of the public API.
+// Internal rank-local kernels shared by the EDD solvers (FGMRES, CG and
+// BiCGSTAB): the nearest-neighbor exchange (monolithic and split into
+// start/finish halves for compute overlap, single and fused over lanes),
+// distributed inner products in the two vector formats, the fused
+// mat-vec + exchange steps of both disciplines, and the distributed
+// polynomial application (Algorithm 7 generalized to Neumann, GLS and
+// Chebyshev, in both the local- and global-format disciplines).  Not
+// part of the public API.
 #pragma once
 
 #include <cmath>
-#include <optional>
+#include <functional>
 #include <span>
 
 #include "common/error.hpp"
-#include "core/chebyshev.hpp"
-#include "core/edd_solver.hpp"
-#include "core/gls_poly.hpp"
+#include "core/edd_batch.hpp"
 #include "core/kernels.hpp"
-#include "core/neumann.hpp"
 #include "la/vector_ops.hpp"
 #include "par/comm.hpp"
 #include "partition/edd.hpp"
-#include "sparse/csr.hpp"
 
 namespace pfem::core::detail {
 
 using partition::EddPartition;
 using partition::EddSubdomain;
-using sparse::CsrMatrix;
-
-
 
 inline constexpr int kExchangeTag = 0;
 
@@ -202,16 +197,8 @@ class EddRank {
     return s;
   }
 
-  /// Local SpMV ŷ_loc = Â x̂_glob (Eq. 37) with counting.
-  void spmv(const CsrMatrix& a, std::span<const real_t> x_glob,
-            std::span<real_t> y_loc) {
-    OBS_SPAN(comm_.tracer(), "spmv", obs::Cat::Matvec);
-    a.spmv(x_glob, y_loc);
-    counters().matvecs += 1;
-    counters().flops += a.spmv_flops();
-  }
-
-  /// Same through the kernel layer (format chosen by KernelOptions).
+  /// Local SpMV ŷ_loc = Â x̂_glob (Eq. 37) through the kernel layer
+  /// (format chosen by KernelOptions), with counting.
   void spmv(const RankKernel& a, std::span<const real_t> x_glob,
             std::span<real_t> y_loc) {
     OBS_SPAN(comm_.tracer(), "spmv", obs::Cat::Matvec);
@@ -349,298 +336,295 @@ class EddRank {
   Vector fused_buf_;  ///< interface stash of exchange_many (nb x ni)
 };
 
-/// One Enhanced-discipline recursion step: ŷ = Â x̂ immediately
-/// globalized by one exchange.  With a split kernel the exchange
-/// overlaps the interior block: the interface-coupled rows are computed
-/// first, the sends go out while the interior rows (disjoint from every
-/// stashed interface dof) fill in, and the folds land last.  Exactly one
-/// matvec and one exchange either way — the overlapped "exchange" span
-/// nests inside the "spmv" span instead of following it, but per-event
-/// counts (what pfem_trace cross-checks against Table 1) are unchanged.
+/// Read-only view of a set of lane pointers.
+inline std::span<const Vector* const> as_inputs(std::span<Vector* const> vs) {
+  return {const_cast<const Vector* const*>(vs.data()), vs.size()};
+}
+
+/// Charge `nb` kernel applies to the rank's counters.
+inline void charge_matvecs(EddRank& r, const RankKernel& a, std::size_t nb) {
+  r.counters().matvecs += nb;
+  r.counters().flops += nb * a.apply_flops();
+}
+
+/// One Enhanced-discipline recursion step for every lane: ŷ_i = Â x̂_i,
+/// then ONE fused exchange globalizing the outputs.  With a split kernel
+/// the exchange overlaps the interior block: the interface-coupled rows
+/// of every lane are computed first, the fused sends go out while the
+/// interior rows (disjoint from every stashed interface dof) fill in,
+/// and the folds land last.  Exactly one matvec per lane and one logical
+/// exchange either way; at width 1 the roundings are those of a plain
+/// apply followed by exchange().
 inline void spmv_exchange(EddRank& r, const RankKernel& a,
-                          std::span<const real_t> x_glob,
-                          std::span<real_t> y) {
-  if (a.split()) {
-    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec);
-    // Additive halves (Ebe) scatter-add into shared rows — start clean.
-    if (a.additive()) la::fill(y, 0.0);
-    a.apply_coupled(x_glob, y);
-    r.exchange_start(y);
-    a.apply_interior(x_glob, y);
-    r.counters().matvecs += 1;
-    r.counters().flops += a.apply_flops();
-    r.exchange_finish(y);
-  } else {
-    r.spmv(a, x_glob, y);
-    r.exchange(y);
+                          std::span<const Vector* const> xs,
+                          std::span<Vector* const> ys) {
+  const std::size_t nb = xs.size();
+  if (!a.split()) {
+    {
+      OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
+               static_cast<std::uint32_t>(nb));
+      a.apply_many(xs, ys);  // zero-fills its outputs itself
+      charge_matvecs(r, a, nb);
+    }
+    r.exchange_many(ys);
+    return;
   }
+  // Additive halves (Ebe) scatter-add into shared rows — start clean.
+  if (a.additive())
+    for (Vector* y : ys) la::fill(*y, 0.0);
+  a.apply_coupled_many(xs, ys);
+  r.exchange_many_start(ys);
+  {
+    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
+             static_cast<std::uint32_t>(nb));
+    a.apply_interior_many(xs, ys);
+    charge_matvecs(r, a, nb);
+  }
+  r.exchange_many_finish(ys);
 }
 
-/// One Basic-discipline recursion step: globalize ŵ in place (the caller
-/// passes a copy it can spare), then ŷ_loc = Â ŵ_glob.  With a split
-/// kernel the sends go out first; the interior rows — which read no
-/// interface column, so the mid-flight zeroed entries of ŵ are invisible
-/// to them — compute while messages fly; the folds land; the coupled
-/// rows finish against the fully globalized ŵ.
+/// One Basic-discipline recursion step for every lane: globalize ŵ_i in
+/// place with ONE fused exchange (the caller passes copies it can
+/// spare), then ŷ_i,loc = Â ŵ_i,glob.  With a split kernel the sends go
+/// out first; the interior rows — which read no interface column, so the
+/// mid-flight zeroed entries of ŵ are invisible to them — compute while
+/// messages fly; the folds land; the coupled rows finish against the
+/// fully globalized ŵ.
 inline void exchange_spmv(EddRank& r, const RankKernel& a,
-                          std::span<real_t> w_glob,
-                          std::span<real_t> y_loc) {
-  if (a.split()) {
-    r.exchange_start(w_glob);
-    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec);
-    // Additive halves (Ebe) scatter-add into shared rows — start clean.
-    if (a.additive()) la::fill(y_loc, 0.0);
-    a.apply_interior(w_glob, y_loc);
-    r.exchange_finish(w_glob);
-    a.apply_coupled(w_glob, y_loc);
-    r.counters().matvecs += 1;
-    r.counters().flops += a.apply_flops();
-  } else {
-    r.exchange(w_glob);
-    r.spmv(a, w_glob, y_loc);
+                          std::span<Vector* const> ws,
+                          std::span<Vector* const> ys) {
+  const std::size_t nb = ws.size();
+  const std::span<const Vector* const> in = as_inputs(ws);
+  if (!a.split()) {
+    r.exchange_many(ws);
+    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
+             static_cast<std::uint32_t>(nb));
+    a.apply_many(in, ys);
+    charge_matvecs(r, a, nb);
+    return;
   }
+  r.exchange_many_start(ws);
+  OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
+           static_cast<std::uint32_t>(nb));
+  if (a.additive())
+    for (Vector* y : ys) la::fill(*y, 0.0);
+  a.apply_interior_many(in, ys);
+  r.exchange_many_finish(ws);
+  a.apply_coupled_many(in, ys);
+  charge_matvecs(r, a, nb);
 }
 
-/// Distributed polynomial preconditioner: the Algorithm-7 pattern for
-/// both Neumann and GLS, in both vector-format disciplines.
+/// Distributed polynomial preconditioner z_i = P_m(Â) v_i for a set of
+/// lanes advancing in lockstep — Algorithm 7 generalized to Neumann,
+/// GLS and Chebyshev.  Each of the m recursion steps does one mat-vec
+/// per lane and ONE fused exchange, so a step costs the same number of
+/// messages at any width.  The recursion data (GLS basis, Chebyshev
+/// interval) is the operator's prebuilt, shared read-only copy.
+///
+/// Two forms, fixed at construction, with identical arithmetic:
+///   global (Enhanced, Algorithm 6 line 10): v, z and the recursion
+///     vectors in global format; each step's mat-vec output is
+///     globalized (spmv_exchange);
+///   local (Basic, Algorithm 5 line 12): v, z and the recursion vectors
+///     in local format; each step globalizes a copy of the recursion
+///     vector before the mat-vec (exchange_spmv), so the result needs no
+///     final exchange.
 class DistPoly {
  public:
-  /// @param counters when non-null, construction work (the GLS Stieltjes
-  ///        basis build) is charged here so setup accounting covers the
-  ///        preconditioner, not just the scaling.
-  DistPoly(const PolySpec& spec, std::size_t nl,
-           par::PerfCounters* counters = nullptr)
-      : spec_(spec) {
-    if (spec.kind == PolyKind::Gls) {
-      gls_.emplace(spec.theta, spec.degree);
-      if (counters != nullptr) counters->flops += gls_build_flops(*gls_);
-    } else if (spec.kind == PolyKind::Chebyshev) {
-      PFEM_CHECK_MSG(!spec.theta.empty(),
-                     "Chebyshev preconditioner needs an interval");
-      cheb_.emplace(spec.theta.front(), spec.degree);
-    }
-    scratch_a_.resize(nl);
-    scratch_b_.resize(nl);
-    scratch_c_.resize(nl);
-    scratch_d_.resize(nl);
+  DistPoly(const EddOperatorState& op, std::size_t nl, std::size_t width,
+           bool local)
+      : spec_(op.poly),
+        gls_(op.gls.get()),
+        cheb_(op.cheb.get()),
+        local_(local) {
+    PFEM_CHECK_MSG(spec_.kind != PolyKind::Gls || gls_ != nullptr,
+                   "GLS preconditioner without prebuilt recursion data");
+    PFEM_CHECK_MSG(spec_.kind != PolyKind::Chebyshev || cheb_ != nullptr,
+                   "Chebyshev preconditioner without a prebuilt interval");
+    wa_.assign(width, Vector(nl));
+    wb_.assign(width, Vector(nl));
+    wc_.assign(width, Vector(nl));
+    if (local_) wd_.assign(width, Vector(nl));
+    in_.reserve(width);
+    out_.reserve(width);
   }
 
-  /// Flop estimate of a GLS build: the Stieltjes three-term recursion and
-  /// the mu fit each sweep every quadrature node per basis degree (~10
-  /// flops per node-degree pair, counting the alpha/beta inner products).
-  [[nodiscard]] static std::uint64_t gls_build_flops(const GlsPolynomial& g) {
-    return 10ull * static_cast<std::uint64_t>(g.degree() + 1) *
-           static_cast<std::uint64_t>(g.basis().num_nodes());
-  }
-
-  [[nodiscard]] int degree() const noexcept {
-    return spec_.kind == PolyKind::None ? 0 : spec_.degree;
-  }
-
-  /// Enhanced discipline (Algorithm 6 line 10): v and z in *global*
-  /// distributed format; exactly `degree` exchanges.
-  void apply_global(EddRank& r, const RankKernel& a,
-                    std::span<const real_t> v_glob, std::span<real_t> z_glob) {
+  /// vin[i] -> zout[i]; scratch lane i serves input i.
+  void apply(EddRank& r, const RankKernel& a,
+             std::span<const Vector* const> vin,
+             std::span<Vector* const> zout) {
+    const std::size_t nb = vin.size();
     const std::size_t n = r.nl();
     switch (spec_.kind) {
       case PolyKind::None:
-        la::copy(v_glob, z_glob);
+        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], *zout[i]);
         return;
       case PolyKind::Neumann: {
-        // w_k = v + (I − ωA) w_{k−1}, all in global format.
-        Vector& w = scratch_a_;
-        Vector& aw = scratch_b_;
-        la::copy(v_glob, w);
+        // w_k = v + (I - omega*A) w_{k-1}.
+        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], wa_[i]);
         for (int k = 0; k < spec_.degree; ++k) {
-          spmv_exchange(r, a, w, aw);
-          for (std::size_t i = 0; i < n; ++i)
-            w[i] = v_glob[i] + w[i] - spec_.omega * aw[i];
-          r.counters().flops += 3 * n;
-          r.counters().vector_updates += 1;
+          matvec(r, a, wa_, wb_, nb);
+          for (std::size_t i = 0; i < nb; ++i) {
+            const Vector& v = *vin[i];
+            Vector& w = wa_[i];
+            const Vector& aw = wb_[i];
+            for (std::size_t l = 0; l < n; ++l)
+              w[l] = v[l] + w[l] - spec_.omega * aw[l];
+            r.counters().flops += 3 * n;
+            r.counters().vector_updates += 1;
+          }
         }
-        for (std::size_t i = 0; i < n; ++i) z_glob[i] = spec_.omega * w[i];
-        r.counters().flops += n;
+        for (std::size_t i = 0; i < nb; ++i) {
+          Vector& z = *zout[i];
+          for (std::size_t l = 0; l < n; ++l) z[l] = spec_.omega * wa_[i][l];
+          r.counters().flops += n;
+        }
         return;
       }
       case PolyKind::Gls: {
         const OrthoBasis& basis = gls_->basis();
         const auto mu = gls_->mu();
-        Vector& u_prev = scratch_a_;
-        Vector& u = scratch_b_;
-        Vector& au = scratch_c_;
-        la::fill(u_prev, 0.0);
         const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < n; ++i) {
-          u[i] = inv0 * v_glob[i];
-          z_glob[i] = mu[0] * u[i];
-        }
-        r.counters().flops += 2 * n;
-        for (int i = 0; i < spec_.degree; ++i) {
-          spmv_exchange(r, a, u, au);
-          const real_t ai = basis.alpha(i);
-          const real_t sb_i = basis.sqrt_beta(i);
-          const real_t sb_n = basis.sqrt_beta(i + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(i) + 1];
-          for (std::size_t k = 0; k < n; ++k) {
-            const real_t t =
-                (au[k] - ai * u[k] - (i > 0 ? sb_i * u_prev[k] : 0.0)) / sb_n;
-            u_prev[k] = u[k];
-            u[k] = t;
-            z_glob[k] += mu_next * t;
+        for (std::size_t i = 0; i < nb; ++i) {
+          la::fill(wa_[i], 0.0);  // u_prev
+          Vector& u = wb_[i];
+          Vector& z = *zout[i];
+          const Vector& v = *vin[i];
+          for (std::size_t l = 0; l < n; ++l) {
+            u[l] = inv0 * v[l];
+            z[l] = mu[0] * u[l];
           }
-          r.counters().flops += 7 * n;
-          r.counters().vector_updates += 1;
+          r.counters().flops += 2 * n;
+        }
+        for (int s = 0; s < spec_.degree; ++s) {
+          matvec(r, a, wb_, wc_, nb);
+          const real_t as = basis.alpha(s);
+          const real_t sb_s = basis.sqrt_beta(s);
+          const real_t sb_n = basis.sqrt_beta(s + 1);
+          const real_t mu_next = mu[static_cast<std::size_t>(s) + 1];
+          for (std::size_t i = 0; i < nb; ++i) {
+            Vector& u_prev = wa_[i];
+            Vector& u = wb_[i];
+            const Vector& au = wc_[i];
+            Vector& z = *zout[i];
+            for (std::size_t l = 0; l < n; ++l) {
+              const real_t t =
+                  (au[l] - as * u[l] - (s > 0 ? sb_s * u_prev[l] : 0.0)) /
+                  sb_n;
+              u_prev[l] = u[l];
+              u[l] = t;
+              z[l] += mu_next * t;
+            }
+            r.counters().flops += 7 * n;
+            r.counters().vector_updates += 1;
+          }
         }
         return;
       }
       case PolyKind::Chebyshev: {
-        // Chebyshev semi-iteration, all vectors in global format; each
-        // step's SpMV output is globalized by one exchange.
-        const real_t theta = cheb_theta();
-        const real_t delta = cheb_delta();
+        const real_t theta =
+            0.5 * (cheb_->interval().lo + cheb_->interval().hi);
+        const real_t delta =
+            0.5 * (cheb_->interval().hi - cheb_->interval().lo);
         const real_t sigma1 = theta / delta;
-        Vector& res = scratch_a_;
-        Vector& d = scratch_b_;
-        Vector& ad = scratch_c_;
-        la::copy(v_glob, res);
         real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < n; ++i) {
-          d[i] = res[i] / theta;
-          z_glob[i] = d[i];
+        for (std::size_t i = 0; i < nb; ++i) {
+          Vector& res = wa_[i];
+          Vector& d = wb_[i];
+          Vector& z = *zout[i];
+          la::copy(*vin[i], res);
+          for (std::size_t l = 0; l < n; ++l) {
+            d[l] = res[l] / theta;
+            z[l] = d[l];
+          }
+          r.counters().flops += 2 * n;
         }
-        r.counters().flops += 2 * n;
         for (int k = 1; k <= spec_.degree; ++k) {
-          spmv_exchange(r, a, d, ad);
+          matvec(r, a, wb_, wc_, nb);
           const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
           const real_t c1 = rho_next * rho;
           const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < n; ++i) {
-            res[i] -= ad[i];
-            d[i] = c1 * d[i] + c2 * res[i];
-            z_glob[i] += d[i];
+          for (std::size_t i = 0; i < nb; ++i) {
+            Vector& res = wa_[i];
+            Vector& d = wb_[i];
+            const Vector& ad = wc_[i];
+            Vector& z = *zout[i];
+            for (std::size_t l = 0; l < n; ++l) {
+              res[l] -= ad[l];
+              d[l] = c1 * d[l] + c2 * res[l];
+              z[l] += d[l];
+            }
+            r.counters().flops += 6 * n;
+            r.counters().vector_updates += 1;
           }
           rho = rho_next;
-          r.counters().flops += 6 * n;
-          r.counters().vector_updates += 1;
         }
         return;
       }
     }
   }
 
-  /// Basic discipline (Algorithm 5 line 12 via Algorithm 7): v and z in
-  /// *local* distributed format; the recursion state is kept in both
-  /// formats so the result needs no final exchange.  Exactly `degree`
-  /// exchanges.
-  void apply_local(EddRank& r, const RankKernel& a,
-                   std::span<const real_t> v_loc, std::span<real_t> z_loc) {
-    const std::size_t n = r.nl();
-    switch (spec_.kind) {
-      case PolyKind::None:
-        la::copy(v_loc, z_loc);
-        return;
-      case PolyKind::Neumann: {
-        // w_loc holds w_k in local format; each step exchanges a copy to
-        // get the global format needed by the SpMV.
-        Vector& w_loc = scratch_a_;
-        Vector& w_glob = scratch_b_;
-        Vector& aw = scratch_c_;
-        la::copy(v_loc, w_loc);
-        for (int k = 0; k < spec_.degree; ++k) {
-          la::copy(w_loc, w_glob);
-          exchange_spmv(r, a, w_glob, aw);
-          for (std::size_t i = 0; i < n; ++i)
-            w_loc[i] = v_loc[i] + w_loc[i] - spec_.omega * aw[i];
-          r.counters().flops += 3 * n;
-          r.counters().vector_updates += 1;
-        }
-        for (std::size_t i = 0; i < n; ++i) z_loc[i] = spec_.omega * w_loc[i];
-        r.counters().flops += n;
-        return;
-      }
-      case PolyKind::Gls: {
-        const OrthoBasis& basis = gls_->basis();
-        const auto mu = gls_->mu();
-        Vector& u_prev = scratch_a_;
-        Vector& u = scratch_b_;
-        Vector& work = scratch_c_;  // globalized copy of u
-        Vector& au = scratch_d_;
-        la::fill(u_prev, 0.0);
-        const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < n; ++i) {
-          u[i] = inv0 * v_loc[i];
-          z_loc[i] = mu[0] * u[i];
-        }
-        r.counters().flops += 2 * n;
-        for (int i = 0; i < spec_.degree; ++i) {
-          la::copy(u, work);
-          exchange_spmv(r, a, work, au);  // au back in local format
-          const real_t ai = basis.alpha(i);
-          const real_t sb_i = basis.sqrt_beta(i);
-          const real_t sb_n = basis.sqrt_beta(i + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(i) + 1];
-          for (std::size_t k = 0; k < n; ++k) {
-            const real_t t =
-                (au[k] - ai * u[k] - (i > 0 ? sb_i * u_prev[k] : 0.0)) / sb_n;
-            u_prev[k] = u[k];
-            u[k] = t;
-            z_loc[k] += mu_next * t;
-          }
-          r.counters().flops += 7 * n;
-          r.counters().vector_updates += 1;
-        }
-        return;
-      }
-      case PolyKind::Chebyshev: {
-        // Chebyshev semi-iteration with res/d/z in local format; each
-        // step exchanges a copy of d to feed the SpMV.
-        const real_t theta = cheb_theta();
-        const real_t delta = cheb_delta();
-        const real_t sigma1 = theta / delta;
-        Vector& res = scratch_a_;
-        Vector& d = scratch_b_;
-        Vector& ad = scratch_c_;
-        Vector& d_glob = scratch_d_;
-        la::copy(v_loc, res);
-        real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < n; ++i) {
-          d[i] = res[i] / theta;
-          z_loc[i] = d[i];
-        }
-        r.counters().flops += 2 * n;
-        for (int k = 1; k <= spec_.degree; ++k) {
-          la::copy(d, d_glob);
-          exchange_spmv(r, a, d_glob, ad);  // local-format result
-          const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
-          const real_t c1 = rho_next * rho;
-          const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < n; ++i) {
-            res[i] -= ad[i];
-            d[i] = c1 * d[i] + c2 * res[i];
-            z_loc[i] += d[i];
-          }
-          rho = rho_next;
-          r.counters().flops += 6 * n;
-          r.counters().vector_updates += 1;
-        }
-        return;
-      }
-    }
+  /// Single-lane form, for the short-recurrence solvers.
+  void apply(EddRank& r, const RankKernel& a, const Vector& v, Vector& z) {
+    const Vector* const vin[1] = {&v};
+    Vector* const zout[1] = {&z};
+    apply(r, a, vin, zout);
   }
 
  private:
-  PolySpec spec_;
-  std::optional<GlsPolynomial> gls_;
-  std::optional<ChebyshevPolynomial> cheb_;
-  Vector scratch_a_, scratch_b_, scratch_c_, scratch_d_;
+  /// out_i = Â in_i for the first nb lanes, in the form's discipline.
+  void matvec(EddRank& r, const RankKernel& a, std::vector<Vector>& in,
+              std::vector<Vector>& out, std::size_t nb) {
+    in_.clear();
+    out_.clear();
+    for (std::size_t i = 0; i < nb; ++i) {
+      if (local_) la::copy(in[i], wd_[i]);  // the copy the exchange globalizes
+      in_.push_back(local_ ? &wd_[i] : &in[i]);
+      out_.push_back(&out[i]);
+    }
+    if (local_)
+      exchange_spmv(r, a, in_, out_);
+    else
+      spmv_exchange(r, a, as_inputs(in_), out_);
+  }
 
-  [[nodiscard]] real_t cheb_theta() const {
-    return 0.5 * (cheb_->interval().lo + cheb_->interval().hi);
-  }
-  [[nodiscard]] real_t cheb_delta() const {
-    return 0.5 * (cheb_->interval().hi - cheb_->interval().lo);
-  }
+  PolySpec spec_;
+  const GlsPolynomial* gls_;
+  const ChebyshevPolynomial* cheb_;
+  bool local_;
+  std::vector<Vector> wa_, wb_, wc_;  // per-lane recursion scratch
+  std::vector<Vector> wd_;            // local form: globalized copies
+  std::vector<Vector*> in_, out_;     // fused-exchange views
 };
 
+/// The EDD-FGMRES engine behind solve_edd and solve_edd_batch: restarted
+/// FGMRES with the operator's polynomial (and optional coarse
+/// correction) on every RHS of `rhs` at once, on a team whose size is
+/// part.nparts().  `variant` picks the vector-format discipline
+/// (Algorithm 5 or 6); `batched_reductions` folds each Gram–Schmidt
+/// pass into one allreduce instead of one per coefficient.  A typed
+/// communication failure comes back as a partial report (see
+/// BatchSolveResult::comm_error).  With a null `trace`, a per-call trace
+/// is created when opts.observe.trace asks for one.
+[[nodiscard]] BatchSolveResult run_edd_fgmres(
+    par::Team& team, const EddPartition& part, const EddOperatorState& op,
+    std::span<const Vector> rhs, const SolveOptions& opts, EddVariant variant,
+    bool batched_reductions, obs::Trace* trace);
+
+/// Rank body of a short-recurrence EDD solver (CG, BiCGSTAB): writes
+/// this rank's physical solution piece `u` (global format) and, on rank
+/// 0, the report.
+using RankSolveFn = std::function<void(par::Comm& comm,
+                                       const EddOperatorState& op, Vector& u,
+                                       SolveReport& report)>;
+
+/// One-shot distributed solve on a fresh team: build_edd_operator (the
+/// norm-1 scaling, kernels and polynomial every EDD solver shares), then
+/// `rank_solve` on every rank.  rank_counters cover build + solve;
+/// setup_counters are the build's slice.
+[[nodiscard]] DistSolve solve_one_shot(
+    const EddPartition& part, const PolySpec& spec, const SolveOptions& opts,
+    const std::vector<sparse::CsrMatrix>* local_matrices,
+    const RankSolveFn& rank_solve);
 
 }  // namespace pfem::core::detail

@@ -7,8 +7,10 @@
 // the polynomial degree:
 //   Basic    (Algorithm 5): m + 3   (basis kept in local distributed form)
 //   Enhanced (Algorithm 6): m + 1   (preconditioned vectors kept global)
-// Both are implemented and their measured counts are reproduced by
-// bench/table1_complexity.
+// Both are branches of one engine (core/edd_batch.cpp): solve_edd runs
+// it at width 1 on a one-shot team after one build_edd_operator, so the
+// warm multi-RHS path (core/edd_batch.hpp) executes the same loop.  The
+// measured counts are reproduced by bench/table1_complexity.
 #pragma once
 
 #include <optional>
@@ -57,7 +59,12 @@ void validate_poly_spec(const PolySpec& spec);
 
 /// Solve K u = f on an EDD partition (K = the partition's k_loc
 /// sub-assemblies).  Applies distributed norm-1 scaling, builds the
-/// polynomial preconditioner per PolySpec, runs restarted FGMRES.
+/// polynomial preconditioner per PolySpec, runs restarted FGMRES with one
+/// global reduction per Gram–Schmidt coefficient (one per pass with
+/// opts.batched_reductions).  rank_counters cover setup + solve;
+/// setup_counters are the setup slice.  A zero row of the assembled
+/// operator throws BadOperatorError; a communication failure (setup
+/// included) returns a typed partial report (comm_failed()).
 ///
 /// @param local_matrices optional override of part.subs[s].k_loc (same
 ///        dof layout), e.g. the dynamic effective stiffness K + a0*M.

@@ -107,7 +107,8 @@ struct SolveOptions {
   KernelOptions kernels;
 
   /// Two-level subdomain deflation around the polynomial preconditioner
-  /// (distributed EDD solvers only; the sequential path ignores it).
+  /// (EDD-FGMRES only; the sequential path, EDD-CG and EDD-BiCGSTAB
+  /// ignore it).
   /// Off by default — enabling it adds one small allreduce and one
   /// mat-vec per preconditioner application and keeps iteration counts
   /// flat under weak scaling.  The warm batch path takes its deflation

@@ -139,49 +139,6 @@ RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
   }
 }
 
-RankKernel RankKernel::from_scaled(const sparse::CsrMatrix* a,
-                                   std::span<const index_t> interface_dofs,
-                                   const KernelOptions& opts) {
-  PFEM_CHECK(a != nullptr && a->rows() == a->cols());
-  PFEM_CHECK_MSG(opts.format != KernelOptions::Format::Ebe,
-                 "Format::Ebe cannot wrap an already-scaled assembled "
-                 "matrix: the matrix-free kernel needs element data, and "
-                 "re-deriving it from assembled rows is not possible");
-  for (const index_t i : interface_dofs) {
-    PFEM_CHECK(i >= 0 && i < a->rows());
-  }
-  RankKernel kn;
-  kn.opts_ = opts;
-  kn.n_ = a->rows();
-  kn.nnz_ = static_cast<std::uint64_t>(a->nnz());
-  kn.split_ = opts.overlap && !interface_dofs.empty();
-  IndexVector interior;
-  IndexVector coupled;
-  if (kn.split_) detail::classify_rows(*a, interface_dofs, interior, coupled);
-
-  if (opts.format == KernelOptions::Format::Sell) {
-    if (kn.split_) {
-      kn.sell_coupled_ =
-          sparse::SellMatrix::from_csr_rows(*a, coupled, opts.chunk,
-                                            opts.sigma);
-      kn.sell_interior_ =
-          sparse::SellMatrix::from_csr_rows(*a, interior, opts.chunk,
-                                            opts.sigma);
-    } else {
-      kn.sell_full_ = sparse::SellMatrix::from_csr(*a, opts.chunk,
-                                                   opts.sigma);
-    }
-  } else {
-    if (kn.split_) {
-      kn.csr_coupled_ = detail::make_block(*a, coupled);
-      kn.csr_interior_ = detail::make_block(*a, interior);
-    } else {
-      kn.csr_ = a;
-    }
-  }
-  return kn;
-}
-
 void RankKernel::apply(std::span<const real_t> x, std::span<real_t> y) const {
   PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(n_));
   PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(n_));
@@ -201,7 +158,7 @@ void RankKernel::apply(std::span<const real_t> x, std::span<real_t> y) const {
   if (opts_.format == KernelOptions::Format::Sell) {
     sell_full_.spmv(x, y);
   } else {
-    (csr_ != nullptr ? *csr_ : csr_own_).spmv(x, y);
+    csr_own_.spmv(x, y);
   }
 }
 

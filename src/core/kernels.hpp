@@ -96,13 +96,6 @@ class RankKernel {
              const KernelOptions& opts,
              const sparse::EbeStore* elems = nullptr);
 
-  /// Wrap an ALREADY-SCALED matrix by reference (not owned; must outlive
-  /// the kernel).  No scaling is applied; Sell format converts the scaled
-  /// entries.  Used where a prebuilt scaled operator is the input.
-  [[nodiscard]] static RankKernel from_scaled(
-      const sparse::CsrMatrix* a, std::span<const index_t> interface_dofs,
-      const KernelOptions& opts);
-
   /// Split blocks were built — the overlapped exchange path is available.
   [[nodiscard]] bool split() const noexcept { return split_; }
   [[nodiscard]] index_t rows() const noexcept { return n_; }
@@ -150,11 +143,6 @@ class RankKernel {
   index_t n_ = 0;
   std::uint64_t nnz_ = 0;
   sparse::CsrMatrix csr_own_;
-  /// Non-owning view set ONLY by from_scaled() (external matrix, stable
-  /// address).  The owning path always reads csr_own_ directly — a
-  /// pointer into our own member would dangle after a move, and
-  /// EddOperatorState moves its kernels around.
-  const sparse::CsrMatrix* csr_ = nullptr;
   detail::CsrRowsBlock csr_coupled_, csr_interior_;
   sparse::SellMatrix sell_full_, sell_coupled_, sell_interior_;
   /// Ebe only: the folded element store, elements permuted

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "core/bicgstab.hpp"
 #include "core/diag_scaling.hpp"
 #include "core/fgmres.hpp"
@@ -14,6 +15,7 @@
 #include "la/dense.hpp"
 #include "la/vector_ops.hpp"
 #include "sparse/generators.hpp"
+#include "degenerate_operator.hpp"
 
 namespace pfem::core {
 namespace {
@@ -161,6 +163,37 @@ TEST(EddBicgstab, ExchangeCountPerIteration) {
       b.rank_counters[0].delta_since(a.rank_counters[0]);
   EXPECT_EQ(d.neighbor_exchanges, 2u * 4 + 2);
   EXPECT_EQ(d.matvecs, 2u * 4 + 2);
+}
+
+TEST(EddBicgstab, ConvergenceIsJudgedByTheTrueResidual) {
+  // Near machine precision the recursive residual drifts below the true
+  // one; a recursive-residual hit must not be reported as convergence.
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  for (const real_t tol : {1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15}) {
+    SolveOptions opts;
+    opts.tol = tol;
+    const DistSolve res =
+        solve_edd_bicgstab(part, prob.load, PolySpec{}, opts);
+    EXPECT_TRUE(!res.converged || res.final_relres <= tol)
+        << "tol " << tol << ": converged with true relres "
+        << res.final_relres;
+  }
+}
+
+TEST(EddBicgstab, DegenerateOperatorThrowsTypedError) {
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  const auto dead = testing_support::zeroed_dof_override(part, 5);
+  EXPECT_THROW(
+      (void)solve_edd_bicgstab(part, prob.load, PolySpec{}, {}, dead.get()),
+      BadOperatorError);
 }
 
 TEST(UnsymmetricRdd, FgmresSolvesConvectionDiffusionDistributed) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "core/cg.hpp"
 #include "core/diag_scaling.hpp"
 #include "core/fgmres.hpp"
@@ -12,6 +13,7 @@
 #include "la/dense.hpp"
 #include "la/vector_ops.hpp"
 #include "sparse/generators.hpp"
+#include "degenerate_operator.hpp"
 
 namespace pfem::core {
 namespace {
@@ -180,6 +182,35 @@ TEST(EddCg, AgreesWithEddFgmresIterationsBallpark) {
   ASSERT_TRUE(cg.converged && gm.converged);
   EXPECT_LT(cg.iterations, 4 * gm.iterations + 10);
   EXPECT_LT(gm.iterations, 4 * cg.iterations + 10);
+}
+
+TEST(EddCg, ConvergenceIsJudgedByTheTrueResidual) {
+  // Near machine precision the recursive residual drifts below the true
+  // one; a recursive-residual hit must not be reported as convergence.
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  for (const real_t tol : {1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15}) {
+    SolveOptions opts;
+    opts.tol = tol;
+    const DistSolve res = solve_edd_cg(part, prob.load, PolySpec{}, opts);
+    EXPECT_TRUE(!res.converged || res.final_relres <= tol)
+        << "tol " << tol << ": converged with true relres "
+        << res.final_relres;
+  }
+}
+
+TEST(EddCg, DegenerateOperatorThrowsTypedError) {
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  const auto dead = testing_support::zeroed_dof_override(part, 5);
+  EXPECT_THROW((void)solve_edd_cg(part, prob.load, PolySpec{}, {}, dead.get()),
+               BadOperatorError);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <tuple>
 
 #include "core/edd_solver.hpp"
@@ -445,6 +446,80 @@ TEST(EddSolver, SetupCountersAreSubsetOfTotals) {
               res.rank_counters[r].neighbor_exchanges);
     // Setup performs exactly one exchange (the row-norm sum, Alg. 3).
     EXPECT_EQ(res.setup_counters[r].neighbor_exchanges, 1u);
+  }
+}
+
+TEST(EddSolver, RecycleWithoutInputsMatchesStatelessSolve) {
+  // A recycling solve with nothing to recycle is the stateless solve:
+  // same engine, same variant, same per-coefficient reductions, and the
+  // same counter contract (setup included in rank_counters).
+  const fem::CantileverProblem prob = test_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  PolySpec poly;
+  poly.degree = 5;
+  for (const EddVariant variant : {EddVariant::Basic, EddVariant::Enhanced}) {
+    SolveOptions opts;
+    opts.restart = 8;  // several cycles
+    const DistSolve plain = solve_edd(part, prob.load, poly, opts, variant);
+    opts.recycle.enabled = true;
+    const DistSolve recyc = solve_edd(part, prob.load, poly, opts, variant);
+    ASSERT_TRUE(plain.converged && recyc.converged);
+    EXPECT_GT(plain.restarts, 0);
+    EXPECT_EQ(recyc.iterations, plain.iterations);
+    EXPECT_EQ(recyc.restarts, plain.restarts);
+    EXPECT_EQ(recyc.history, plain.history);
+    EXPECT_EQ(recyc.x, plain.x);
+    ASSERT_EQ(recyc.rank_counters.size(), plain.rank_counters.size());
+    for (std::size_t r = 0; r < plain.rank_counters.size(); ++r) {
+      EXPECT_EQ(recyc.rank_counters[r].neighbor_exchanges,
+                plain.rank_counters[r].neighbor_exchanges)
+          << "rank " << r;
+      EXPECT_EQ(recyc.rank_counters[r].global_reductions,
+                plain.rank_counters[r].global_reductions)
+          << "rank " << r;
+    }
+  }
+}
+
+TEST(EddSolver, RecyclingWarmStartsEitherVariant) {
+  // Sessions ride on the one engine in both disciplines: harvested cycle
+  // increments gather to the solution (Basic's are local-format pieces),
+  // and feeding them back warm-starts a drifted solve.
+  const fem::CantileverProblem prob = test_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  PolySpec poly;
+  poly.degree = 5;
+  for (const EddVariant variant : {EddVariant::Basic, EddVariant::Enhanced}) {
+    SolveOptions opts;
+    opts.restart = 10;
+    opts.recycle.enabled = true;
+    opts.recycle.harvest = true;
+    const DistSolve cold = solve_edd(part, prob.load, poly, opts, variant);
+    ASSERT_TRUE(cold.converged);
+    ASSERT_EQ(cold.recycled.size(),
+              static_cast<std::size_t>(cold.restarts) + 1);
+    ASSERT_LE(cold.recycled.size(),
+              static_cast<std::size_t>(opts.recycle.max_directions));
+    // From a zero start the cycle increments sum to the solution.
+    Vector sum(cold.x.size(), 0.0);
+    for (const Vector& dir : cold.recycled) la::axpy(1.0, dir, sum);
+    const real_t scale = la::nrm_inf(cold.x);
+    for (std::size_t i = 0; i < sum.size(); ++i)
+      ASSERT_NEAR(sum[i], cold.x[i], 1e-10 * scale) << "dof " << i;
+
+    Vector f = prob.load;
+    for (real_t& v : f) v *= 1.05;
+    auto in = std::make_shared<std::vector<RecycleIn>>(1);
+    (*in)[0].x0 = cold.x;
+    (*in)[0].directions = cold.recycled;
+    opts.recycle.harvest = false;
+    opts.recycle.in = in;
+    const DistSolve warm = solve_edd(part, f, poly, opts, variant);
+    ASSERT_TRUE(warm.converged);
+    EXPECT_LT(warm.iterations, cold.iterations);
+    const Vector ref = reference_solution(prob);
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      EXPECT_NEAR(warm.x[i], 1.05 * ref[i], 1e-4 * scale) << "dof " << i;
   }
 }
 

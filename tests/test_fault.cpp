@@ -391,21 +391,55 @@ TEST(SolverFaults, BatchReturnsTypedPartialReportOnCrash) {
   ASSERT_EQ(r.items.size(), 1u);
   EXPECT_FALSE(r.items[0].converged);
   EXPECT_EQ(r.items[0].comm_error, r.comm_error);
+  // The partial report is consistent: it counts exactly the history the
+  // solve wrote before the crash.
+  EXPECT_FALSE(r.items[0].history.empty());
+  EXPECT_EQ(r.items[0].history.size(),
+            static_cast<std::size_t>(r.items[0].iterations));
 }
 
 TEST(SolverFaults, SolveEddReturnsTypedPartialReportOnCrash) {
   const chaos::Scene& s = chaos::scene();
-  FaultInjector inj(one_fault(FaultSite{2, -1, Op::Collective, 40},
-                              FaultAction{FaultType::Crash, 0}));
-  core::SolveOptions opts;
-  opts.observe.fault_injector = &inj;
-  opts.observe.comm_timeout_seconds = 0.5;
-  const core::DistSolve r =
-      core::solve_edd(*s.part, s.prob.load, s.poly, opts);
-  ASSERT_TRUE(r.comm_failed());
-  EXPECT_FALSE(r.converged);
-  EXPECT_TRUE(r.x.empty());
-  EXPECT_EQ(r.history.size(), static_cast<std::size_t>(r.iterations));
+  for (const bool recycle : {false, true}) {
+    FaultInjector inj(one_fault(FaultSite{2, -1, Op::Collective, 40},
+                                FaultAction{FaultType::Crash, 0}));
+    core::SolveOptions opts;
+    opts.recycle.enabled = recycle;
+    opts.observe.fault_injector = &inj;
+    opts.observe.comm_timeout_seconds = 0.5;
+    const core::DistSolve r =
+        core::solve_edd(*s.part, s.prob.load, s.poly, opts);
+    ASSERT_TRUE(r.comm_failed()) << "recycle " << recycle;
+    EXPECT_FALSE(r.converged);
+    EXPECT_TRUE(r.x.empty());
+    EXPECT_FALSE(r.history.empty());
+    EXPECT_EQ(r.history.size(), static_cast<std::size_t>(r.iterations))
+        << "recycle " << recycle;
+  }
+}
+
+TEST(SolverFaults, SolveEddReturnsTypedReportOnSetupCrash) {
+  // The first message of a solve is the norm-1 scaling exchange inside
+  // the operator build: a crash there is a typed failed report too, not
+  // an escaping exception.
+  const chaos::Scene& s = chaos::scene();
+  const int peer = s.part->subs[1].neighbors.front().rank;
+  for (const bool recycle : {false, true}) {
+    FaultInjector inj(one_fault(FaultSite{1, peer, Op::Send, 0},
+                                FaultAction{FaultType::Crash, 0}));
+    core::SolveOptions opts;
+    opts.recycle.enabled = recycle;
+    opts.observe.fault_injector = &inj;
+    opts.observe.comm_timeout_seconds = 0.5;
+    const core::DistSolve r =
+        core::solve_edd(*s.part, s.prob.load, s.poly, opts);
+    ASSERT_TRUE(r.comm_failed()) << "recycle " << recycle;
+    EXPECT_NE(r.comm_error.find("injected crash"), std::string::npos);
+    EXPECT_FALSE(r.converged);
+    EXPECT_TRUE(r.x.empty());
+    EXPECT_TRUE(r.history.empty());
+    EXPECT_EQ(r.iterations, 0);
+  }
 }
 
 TEST(SolverFaults, SolveRddReturnsTypedPartialReportOnCrash) {

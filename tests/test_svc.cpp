@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "core/edd_batch.hpp"
 #include "core/edd_kernels.hpp"
+#include "degenerate_operator.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "svc/job_queue.hpp"
@@ -133,7 +134,7 @@ TEST(BuildOperator, ProducesScaledMatricesAndPrebuiltPolynomial) {
   const Scene s = make_scene(8, 4);
   par::Team team(kRanks);
   const auto op = core::build_edd_operator(team, *s.part, s.poly);
-  ASSERT_EQ(op.a.size(), static_cast<std::size_t>(kRanks));
+  ASSERT_EQ(op.kern.size(), static_cast<std::size_t>(kRanks));
   ASSERT_EQ(op.d.size(), static_cast<std::size_t>(kRanks));
   EXPECT_NE(op.gls, nullptr);
   EXPECT_EQ(op.cheb, nullptr);
@@ -396,7 +397,7 @@ TEST(OperatorCache, LruEvictsBuiltStateButKeepsRecipe) {
   EXPECT_TRUE(hit_a3);
   EXPECT_TRUE(cache.contains("b"));  // recipe survives eviction
   // Evicted-but-handed-out state stays valid through the shared_ptr.
-  EXPECT_EQ(sb->a.size(), static_cast<std::size_t>(kRanks));
+  EXPECT_EQ(sb->kern.size(), static_cast<std::size_t>(kRanks));
 }
 
 // ------------------------------------------------------------------ Service
@@ -896,31 +897,7 @@ TEST(Session, OperatorCacheEvictionDropsStateButKeepsHandle) {
 
 // ------------------------------------------------- degenerate operators
 
-/// Local-matrix override with every coefficient of one global dof's row
-/// and column zeroed on every rank: norm-1 scaling meets an all-zero
-/// row at build time and must throw the typed BadOperatorError.
-std::shared_ptr<const std::vector<sparse::CsrMatrix>> zeroed_dof_override(
-    const Scene& s, index_t dead_dof) {
-  auto mats = std::make_shared<std::vector<sparse::CsrMatrix>>();
-  for (const auto& sub : s.part->subs) {
-    sparse::CsrMatrix k = sub.k_loc;
-    const auto rp = k.row_ptr();
-    const auto ci = k.col_idx();
-    const auto vals = k.values();  // mutable span
-    for (index_t i = 0; i < k.rows(); ++i) {
-      const index_t gi = sub.local_to_global[static_cast<std::size_t>(i)];
-      for (index_t p = rp[static_cast<std::size_t>(i)];
-           p < rp[static_cast<std::size_t>(i) + 1]; ++p) {
-        const index_t gj = sub.local_to_global[static_cast<std::size_t>(
-            ci[static_cast<std::size_t>(p)])];
-        if (gi == dead_dof || gj == dead_dof)
-          vals[static_cast<std::size_t>(p)] = 0.0;
-      }
-    }
-    mats->push_back(std::move(k));
-  }
-  return mats;
-}
+using testing_support::zeroed_dof_override;
 
 TEST(ServiceBadOperator, DegenerateBuildFailsTypedAndIsRequestScoped) {
   const Scene s = make_scene(8, 4);
@@ -929,7 +906,7 @@ TEST(ServiceBadOperator, DegenerateBuildFailsTypedAndIsRequestScoped) {
   svc::Service service(cfg);
   service.register_operator("good", s.part, s.poly);
   service.register_operator("dead", s.part, s.poly,
-                            zeroed_dof_override(s, /*dead_dof=*/5));
+                            zeroed_dof_override(*s.part, /*dead_dof=*/5));
 
   // The degenerate build surfaces as Failed{BadOperator} — not a crash,
   // not a retry loop, not a generic SolveError.
