@@ -10,7 +10,7 @@
 //     a truncated Theta = [0.01, 1] (the Eq.-18 knob a user would reach
 //     for first — and the wrong tool for jumps);
 //   - deflation off / standard coordinate coarse space / the jump-aware
-//     coefficient-split coarse space (DESIGN.md §15).
+//     coefficient-split coarse space (DESIGN.md §14).
 //
 // Jump patterns: `aligned` puts the interface on the x = lx/2 plane
 // (coincides with RCB's first cut — every patch single-class),

@@ -6,14 +6,6 @@
 // sweep over the Table 2 mesh family and writes one JSON record per
 // mesh (timings, GFLOP/s, speedups, the share of node-block SELL chunks
 // and the column-index bytes per nonzero) before the google benchmarks.
-//
-// --ebe-json=PATH runs the matrix-free sweep instead: the Format::Ebe
-// rank kernel (per-element dense matrices, gather-multiply-scatter)
-// against scaled scalar CSR and SELL-C-σ on the same meshes, with a
-// bytes-per-dof column for all three storage formats.  EBE is not
-// bit-identical to the assembled formats (the element sweep
-// reassociates row sums), so this sweep measures time and footprint,
-// not the bit-identity the --kernels-json contenders share.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,7 +24,6 @@
 #include "core/kernels.hpp"
 #include "core/neumann.hpp"
 #include "exp/experiments.hpp"
-#include "fem/ebe.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
 #include "par/comm.hpp"
@@ -362,167 +353,10 @@ int run_kernel_sweep(const std::string& json_path, int max_mesh) {
   return 0;
 }
 
-// ---------------------------------------------------------------------
-// Matrix-free EBE sweep (--ebe-json=PATH).
-//
-// Same Table 2 mesh family, but the contender is the Format::Ebe rank
-// kernel: per-element dense matrices with the norm-1 scaling folded at
-// build time, applied by gather-multiply-scatter.  Alongside the
-// timings the sweep reports a bytes-per-dof column — the resident
-// operator footprint each format streams per SpMV:
-//   csr   nnz*(8 value + 4 col) + (n+1)*4 row-pointer bytes
-//   sell  padded_nnz*8 + stored column indices*4 + 2*(nchunks+1)*4
-//         value/column chunk-offset bytes
-//   ebe   stored dense entries*8 + element dof ids*4
-// EBE trades duplicated interface entries (dense element blocks) for a
-// perfectly regular layout and zero assembly; the column quantifies
-// that trade per mesh.
-
-struct EbeSweepRow {
-  std::string mesh;
-  index_t n = 0;
-  index_t nnz = 0;
-  index_t elems = 0;
-  double spmv_csr = 0, spmv_sell = 0, spmv_ebe = 0;
-  double poly_csr = 0, poly_ebe = 0;
-  double bpd_csr = 0, bpd_sell = 0, bpd_ebe = 0;
-};
-
-EbeSweepRow sweep_mesh_ebe(int mesh_number, int degree) {
-  const fem::CantileverProblem prob = fem::make_table2_cantilever(mesh_number);
-  const sparse::CsrMatrix& k = prob.stiffness;
-
-  Vector d = k.row_norms1();
-  for (auto& di : d) di = 1.0 / std::sqrt(di);
-  sparse::CsrMatrix scaled = k;
-  scaled.scale_symmetric(d);
-  const sparse::SellMatrix sell = sparse::SellMatrix::from_csr(scaled);
-
-  const sparse::EbeStore elems = fem::build_ebe_store(
-      prob.mesh, prob.dofs, prob.material, fem::Operator::Stiffness);
-  core::KernelOptions eo;
-  eo.format = core::KernelOptions::Format::Ebe;
-  eo.overlap = false;
-  const core::RankKernel ebe(k, Vector(d), {}, eo, &elems);
-
-  EbeSweepRow row;
-  row.mesh = fem::table2_meshes()[static_cast<std::size_t>(mesh_number - 1)]
-                 .name;
-  row.n = k.rows();
-  row.nnz = k.nnz();
-  row.elems = elems.num_elems();
-
-  const double n = static_cast<double>(k.rows());
-  row.bpd_csr = (static_cast<double>(k.nnz()) * (8.0 + 4.0) +
-                 static_cast<double>(k.rows() + 1) * 4.0) /
-                n;
-  row.bpd_sell = (static_cast<double>(sell.padded_nnz()) * 8.0 +
-                  static_cast<double>(sell.stored_cols()) * 4.0 +
-                  static_cast<double>(sell.chunks() + 1) * 8.0) /
-                 n;
-  row.bpd_ebe = (static_cast<double>(elems.stored_values()) * 8.0 +
-                 static_cast<double>(elems.dof_ids().size()) * 4.0) /
-                n;
-
-  Vector x(static_cast<std::size_t>(k.cols()), 1.0);
-  Vector y(static_cast<std::size_t>(k.rows()));
-  TimedKernel spmv[3];
-  spmv[0].fn = [&] { scaled.spmv(x, y); };
-  spmv[1].fn = [&] { sell.spmv(x, y); };
-  spmv[2].fn = [&] { ebe.apply(x, y); };
-  time_kernels(spmv);
-  row.spmv_csr = spmv[0].best;
-  row.spmv_sell = spmv[1].best;
-  row.spmv_ebe = spmv[2].best;
-
-  const core::GlsPolynomial poly(core::default_theta_after_scaling(), degree);
-  const core::LinearOp op_csr = core::LinearOp::from_csr(scaled);
-  const core::LinearOp op_ebe(
-      k.rows(), [&ebe](std::span<const real_t> in, std::span<real_t> out) {
-        ebe.apply(in, out);
-      });
-  Vector z(x.size());
-  TimedKernel pk[2];
-  pk[0].fn = [&] { poly.apply(op_csr, x, z); };
-  pk[1].fn = [&] { poly.apply(op_ebe, x, z); };
-  time_kernels(pk);
-  row.poly_csr = pk[0].best;
-  row.poly_ebe = pk[1].best;
-  return row;
-}
-
-int run_ebe_sweep(const std::string& json_path, int max_mesh) {
-  const int degree = 7;
-  const auto meshes = fem::table2_meshes();
-  const int nmesh = std::min<int>(max_mesh, static_cast<int>(meshes.size()));
-
-  std::vector<EbeSweepRow> rows;
-  std::printf("EBE sweep: matrix-free vs scaled CSR vs SELL (GLS-%d)\n",
-              degree);
-  std::printf("%-8s %9s %8s  %10s %10s %10s  %8s | %8s %8s %8s\n", "mesh",
-              "n", "elems", "spmv_csr", "spmv_sell", "spmv_ebe", "ebe_vs_csr",
-              "B/dof csr", "sell", "ebe");
-  for (int m = 1; m <= nmesh; ++m) {
-    rows.push_back(sweep_mesh_ebe(m, degree));
-    const auto& r = rows.back();
-    std::printf(
-        "%-8s %9lld %8lld  %9.2fus %9.2fus %9.2fus  %7.2fx | %8.1f %8.1f "
-        "%8.1f\n",
-        r.mesh.c_str(), static_cast<long long>(r.n),
-        static_cast<long long>(r.elems), r.spmv_csr * 1e6, r.spmv_sell * 1e6,
-        r.spmv_ebe * 1e6, r.spmv_csr / r.spmv_ebe, r.bpd_csr, r.bpd_sell,
-        r.bpd_ebe);
-    std::fflush(stdout);
-  }
-
-  double geo_spmv = 0.0, geo_poly = 0.0;
-  for (const auto& r : rows) {
-    geo_spmv += std::log(r.spmv_csr / r.spmv_ebe);
-    geo_poly += std::log(r.poly_csr / r.poly_ebe);
-  }
-  geo_spmv = std::exp(geo_spmv / static_cast<double>(rows.size()));
-  geo_poly = std::exp(geo_poly / static_cast<double>(rows.size()));
-  std::printf("geomean speed vs scaled CSR: spmv %.2fx, GLS-%d apply %.2fx\n",
-              geo_spmv, degree, geo_poly);
-
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  out << "{\n  \"bench\": \"micro_kernels\",\n  \"sweep\": "
-         "\"ebe_vs_csr_vs_sell\",\n  \"poly_degree\": "
-      << degree << ",\n  \"geomean_speed_vs_csr\": {\"spmv_ebe\": " << geo_spmv
-      << ", \"poly_ebe\": " << geo_poly << "},\n  \"meshes\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    const double gf = 2.0 * static_cast<double>(r.nnz) * 1e-9;
-    out << "    {\"mesh\": \"" << r.mesh << "\", \"n\": " << r.n
-        << ", \"nnz\": " << r.nnz << ", \"elems\": " << r.elems
-        << ",\n     \"spmv_seconds\": {\"csr\": " << r.spmv_csr
-        << ", \"sell\": " << r.spmv_sell << ", \"ebe\": " << r.spmv_ebe
-        << "},\n     \"spmv_gflops\": {\"csr\": " << gf / r.spmv_csr
-        << ", \"sell\": " << gf / r.spmv_sell
-        << ", \"ebe\": " << gf / r.spmv_ebe
-        << "},\n     \"poly_seconds\": {\"csr\": " << r.poly_csr
-        << ", \"ebe\": " << r.poly_ebe
-        << "},\n     \"bytes_per_dof\": {\"csr\": " << r.bpd_csr
-        << ", \"sell\": " << r.bpd_sell << ", \"ebe\": " << r.bpd_ebe
-        << "},\n     \"speed_vs_csr\": {\"spmv_ebe\": "
-        << r.spmv_csr / r.spmv_ebe
-        << ", \"poly_ebe\": " << r.poly_csr / r.poly_ebe << "}}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("EBE sweep written to %s\n", json_path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path;
-  std::string ebe_json_path;
   int max_mesh = 8;  // Mesh9/10 assemble slowly; opt in via --kernels-meshes
   std::vector<char*> rest;
   rest.push_back(argv[0]);
@@ -530,8 +364,6 @@ int main(int argc, char** argv) {
     const std::string_view a(argv[i]);
     if (a.rfind("--kernels-json=", 0) == 0) {
       json_path = std::string(a.substr(15));
-    } else if (a.rfind("--ebe-json=", 0) == 0) {
-      ebe_json_path = std::string(a.substr(11));
     } else if (a.rfind("--kernels-meshes=", 0) == 0) {
       max_mesh = std::atoi(a.substr(17).data());
     } else {
@@ -540,11 +372,6 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty()) {
     if (const int rc = run_kernel_sweep(json_path, max_mesh); rc != 0) {
-      return rc;
-    }
-  }
-  if (!ebe_json_path.empty()) {
-    if (const int rc = run_ebe_sweep(ebe_json_path, max_mesh); rc != 0) {
       return rc;
     }
   }

@@ -37,8 +37,10 @@ SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
 
   while (result.iterations < opts.max_iters) {
     const real_t rho_new = la::dot(rhat, r);
-    PFEM_CHECK_MSG(std::abs(rho_new) > 1e-300 * beta0 * beta0,
-                   "BiCGSTAB breakdown: <rhat, r> ~ 0");
+    if (!(std::abs(rho_new) > 1e-300 * beta0 * beta0)) {
+      result.breakdown = true;  // <rhat, r> ~ 0: no further direction
+      break;
+    }
     const real_t beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
     for (std::size_t i = 0; i < n; ++i)
@@ -53,7 +55,6 @@ SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
     if (la::nrm2(s) / beta0 <= opts.tol) {
       la::axpy(alpha, phat, x);
       result.history.push_back(la::nrm2(s) / beta0);
-      result.converged = true;
       break;
     }
 
@@ -68,17 +69,16 @@ SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
     }
     const real_t relres = la::nrm2(r) / beta0;
     result.history.push_back(relres);
-    if (relres <= opts.tol) {
-      result.converged = true;
-      break;
-    }
+    if (relres <= opts.tol) break;
     PFEM_CHECK_MSG(std::abs(omega) > 1e-300, "BiCGSTAB breakdown: omega ~ 0");
   }
 
   a.apply(x, r);
   la::sub(b, r, r);
   result.final_relres = la::nrm2(r) / beta0;
-  if (result.final_relres <= opts.tol) result.converged = true;
+  // The recursive residual only proposes convergence; the final TRUE
+  // residual decides it.
+  result.converged = result.final_relres <= opts.tol;
   return result;
 }
 

@@ -17,7 +17,9 @@ namespace pfem::core {
 
 /// Sequential right-preconditioned BiCGSTAB.  SolveOptions::restart is
 /// ignored (short recurrence).  `iterations` counts full BiCGSTAB steps
-/// (two mat-vecs and two preconditioner applications each).
+/// (two mat-vecs and two preconditioner applications each).  A
+/// <r̂, r> ~ 0 breakdown stops the iteration with breakdown = true;
+/// `converged` is decided by the final true residual.
 [[nodiscard]] SolveReport bicgstab(const LinearOp& a,
                                    std::span<const real_t> b,
                                    std::span<real_t> x,

@@ -50,10 +50,7 @@ SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
 
     const real_t relres = la::nrm2(r) / beta0;
     result.history.push_back(relres);
-    if (relres <= opts.tol) {
-      result.converged = true;
-      break;
-    }
+    if (relres <= opts.tol) break;
 
     precond.apply(r, z);
     const real_t rho_new = la::dot(r, z);
@@ -66,7 +63,9 @@ SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
   a.apply(x, check);
   la::sub(b, check, check);
   result.final_relres = la::nrm2(check) / beta0;
-  if (result.final_relres <= opts.tol) result.converged = true;
+  // The recursive residual only proposes convergence; the final TRUE
+  // residual decides it.
+  result.converged = result.final_relres <= opts.tol;
   return result;
 }
 

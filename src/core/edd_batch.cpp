@@ -805,14 +805,6 @@ EddOperatorState build_edd_operator(
                  << " != partition parts " << part.nparts());
   if (local_matrices != nullptr)
     PFEM_CHECK(local_matrices->size() == part.subs.size());
-  // A matrix override (e.g. dynamics' K + a0 M) leaves the partition's
-  // element matrices stale — the matrix-free kernel would silently apply
-  // the wrong operator, so reject the combination up front.
-  PFEM_CHECK_MSG(!(kernels.format == KernelOptions::Format::Ebe &&
-                   local_matrices != nullptr),
-                 "Format::Ebe cannot be combined with a local-matrix "
-                 "override: the partition's element store holds the "
-                 "originally assembled operator, not the override");
   const auto p = static_cast<std::size_t>(part.nparts());
 
   WallTimer timer;
@@ -850,10 +842,8 @@ EddOperatorState build_edd_operator(
         // copy of the entries at build time; the 2*nnz scaling work is
         // charged here so setup/iteration flop accounting stays
         // comparable across formats.
-        op.kern[s] = RankKernel(k, Vector(d), sub.interface_local_dofs,
-                                kernels,
-                                local_matrices ? nullptr
-                                               : sub.elem_store.get());
+        op.kern[s] =
+            RankKernel(k, Vector(d), sub.interface_local_dofs, kernels);
         r.counters().flops += 2ull * static_cast<std::uint64_t>(k.nnz());
         if (deflation.enabled) {
           // E = ZᵀÂZ from the local-format sum identity: one sweep over

@@ -42,9 +42,9 @@ struct EddOperatorState {
   PolySpec poly;                   ///< the spec the preconditioner was built for
   std::vector<Vector> d;             ///< per-rank scaling 1/sqrt(d_i) (Eq. 43)
   KernelOptions kernels;             ///< format/overlap the kernels were built for
-  /// Per-rank apply kernels for Â = D̂ K̂ D̂ (Eq. 44): SELL-C-σ blocks,
-  /// scalar CSR or element matrices, each holding its own scaled copy of
-  /// the entries, interior/interface split per `kernels`.
+  /// Per-rank apply kernels for Â = D̂ K̂ D̂ (Eq. 44): SELL-C-σ or
+  /// scalar CSR blocks, each holding its own scaled copy of the entries,
+  /// interior/interface split per `kernels`.
   std::vector<RankKernel> kern;
   /// Prebuilt polynomial recursion data (shared read-only by all ranks;
   /// null for kinds that need none).

@@ -363,15 +363,12 @@ inline void spmv_exchange(EddRank& r, const RankKernel& a,
     {
       OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
                static_cast<std::uint32_t>(nb));
-      a.apply_many(xs, ys);  // zero-fills its outputs itself
+      a.apply_many(xs, ys);
       charge_matvecs(r, a, nb);
     }
     r.exchange_many(ys);
     return;
   }
-  // Additive halves (Ebe) scatter-add into shared rows — start clean.
-  if (a.additive())
-    for (Vector* y : ys) la::fill(*y, 0.0);
   a.apply_coupled_many(xs, ys);
   r.exchange_many_start(ys);
   {
@@ -406,8 +403,6 @@ inline void exchange_spmv(EddRank& r, const RankKernel& a,
   r.exchange_many_start(ws);
   OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
            static_cast<std::uint32_t>(nb));
-  if (a.additive())
-    for (Vector* y : ys) la::fill(*y, 0.0);
   a.apply_interior_many(in, ys);
   r.exchange_many_finish(ws);
   a.apply_coupled_many(in, ys);

@@ -1,7 +1,6 @@
 #include "core/kernels.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -69,44 +68,13 @@ void classify_rows(const sparse::CsrMatrix& a,
 
 RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
                        std::span<const index_t> interface_dofs,
-                       const KernelOptions& opts,
-                       const sparse::EbeStore* elems)
+                       const KernelOptions& opts)
     : opts_(opts), n_(k.rows()), nnz_(static_cast<std::uint64_t>(k.nnz())) {
   PFEM_CHECK(k.rows() == k.cols());
   PFEM_CHECK(d.size() == static_cast<std::size_t>(k.rows()));
   for (const index_t i : interface_dofs) PFEM_CHECK(i >= 0 && i < k.rows());
 
   split_ = opts.overlap && !interface_dofs.empty();
-
-  if (opts.format == KernelOptions::Format::Ebe) {
-    PFEM_CHECK_MSG(elems != nullptr,
-                   "Format::Ebe needs the subdomain's element store "
-                   "(build_edd_partition provides it; hand-built "
-                   "subdomains and matrix overrides do not)");
-    PFEM_CHECK_MSG(elems->rows() == k.rows(),
-                   "Format::Ebe: element store covers " << elems->rows()
-                   << " dofs but the subdomain has " << k.rows());
-    // Split ELEMENTS, not rows: interior = touches no interface dof, so
-    // it neither reads nor writes an interface entry mid-exchange.
-    // Stored [coupled | interior] so apply() == the Enhanced split
-    // order bit for bit.
-    std::vector<char> iface(static_cast<std::size_t>(k.rows()), 0);
-    for (const index_t i : interface_dofs) iface[i] = 1;
-    IndexVector order;
-    order.reserve(static_cast<std::size_t>(elems->num_elems()));
-    index_t ncoupled = 0;
-    for (index_t e = 0; e < elems->num_elems(); ++e)
-      if (elems->touches(e, iface)) {
-        order.push_back(e);
-        ++ncoupled;
-      }
-    for (index_t e = 0; e < elems->num_elems(); ++e)
-      if (!elems->touches(e, iface)) order.push_back(e);
-    ebe_ = elems->permuted(order);
-    ebe_.scale_symmetric(d);  // fold D K D, CSR's rounding sequence
-    ebe_split_ = ncoupled;
-    return;
-  }
 
   IndexVector interior;
   IndexVector coupled;
@@ -118,15 +86,10 @@ RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
     sparse::CsrMatrix scaled = k;
     scaled.scale_symmetric(d);
     if (split_) {
-      sell_coupled_ =
-          sparse::SellMatrix::from_csr_rows(scaled, coupled, opts.chunk,
-                                            opts.sigma);
-      sell_interior_ =
-          sparse::SellMatrix::from_csr_rows(scaled, interior, opts.chunk,
-                                            opts.sigma);
+      sell_coupled_ = sparse::SellMatrix::from_csr_rows(scaled, coupled);
+      sell_interior_ = sparse::SellMatrix::from_csr_rows(scaled, interior);
     } else {
-      sell_full_ =
-          sparse::SellMatrix::from_csr(scaled, opts.chunk, opts.sigma);
+      sell_full_ = sparse::SellMatrix::from_csr(scaled);
     }
   } else {
     csr_own_ = k;
@@ -142,14 +105,6 @@ RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
 void RankKernel::apply(std::span<const real_t> x, std::span<real_t> y) const {
   PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(n_));
   PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(n_));
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    std::fill(y.begin(), y.end(), real_t{0});
-    // Element order is [coupled | interior] — the same scatter-add order
-    // the Enhanced-discipline split replays, so apply() and that split
-    // path are bit-identical.
-    ebe_.apply_add(0, ebe_.num_elems(), x, y);
-    return;
-  }
   if (split_) {
     apply_coupled(x, y);
     apply_interior(x, y);
@@ -165,9 +120,7 @@ void RankKernel::apply(std::span<const real_t> x, std::span<real_t> y) const {
 void RankKernel::apply_coupled(std::span<const real_t> x,
                                std::span<real_t> y) const {
   PFEM_DEBUG_CHECK(split_);
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    ebe_.apply_add(0, ebe_split_, x, y);
-  } else if (opts_.format == KernelOptions::Format::Sell) {
+  if (opts_.format == KernelOptions::Format::Sell) {
     sell_coupled_.spmv(x, y);
   } else {
     csr_coupled_.spmv(x, y);
@@ -177,9 +130,7 @@ void RankKernel::apply_coupled(std::span<const real_t> x,
 void RankKernel::apply_interior(std::span<const real_t> x,
                                 std::span<real_t> y) const {
   PFEM_DEBUG_CHECK(split_);
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    ebe_.apply_add(ebe_split_, ebe_.num_elems(), x, y);
-  } else if (opts_.format == KernelOptions::Format::Sell) {
+  if (opts_.format == KernelOptions::Format::Sell) {
     sell_interior_.spmv(x, y);
   } else {
     csr_interior_.spmv(x, y);
@@ -189,31 +140,18 @@ void RankKernel::apply_interior(std::span<const real_t> x,
 void RankKernel::apply_many(std::span<const Vector* const> xs,
                             std::span<Vector* const> ys) const {
   PFEM_DEBUG_CHECK(xs.size() == ys.size());
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    for (Vector* y : ys) std::fill(y->begin(), y->end(), real_t{0});
-    ebe_.apply_add_many(0, ebe_.num_elems(), xs, ys);
-    return;
-  }
   for (std::size_t l = 0; l < xs.size(); ++l) apply(*xs[l], *ys[l]);
 }
 
 void RankKernel::apply_coupled_many(std::span<const Vector* const> xs,
                                     std::span<Vector* const> ys) const {
   PFEM_DEBUG_CHECK(xs.size() == ys.size());
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    ebe_.apply_add_many(0, ebe_split_, xs, ys);
-    return;
-  }
   for (std::size_t l = 0; l < xs.size(); ++l) apply_coupled(*xs[l], *ys[l]);
 }
 
 void RankKernel::apply_interior_many(std::span<const Vector* const> xs,
                                      std::span<Vector* const> ys) const {
   PFEM_DEBUG_CHECK(xs.size() == ys.size());
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    ebe_.apply_add_many(ebe_split_, ebe_.num_elems(), xs, ys);
-    return;
-  }
   for (std::size_t l = 0; l < xs.size(); ++l) apply_interior(*xs[l], *ys[l]);
 }
 

@@ -251,21 +251,14 @@ void rdd_rank_solve(const RddPartition& part,
 
   // Kernel selection: convert the scaled blocks to SELL-C-σ when
   // requested (bit-identical per-row accumulation), and overlap A_loc
-  // with the in-flight exchange when enabled.  Format::Ebe documented
-  // fallback: RDD rows are FULLY assembled (local + external column
-  // blocks), so no per-subdomain element sub-assembly exists to run a
-  // matrix-free sweep on — the scalar CSR path is used, bit-identically
-  // to Format::Csr.
+  // with the in-flight exchange when enabled.
   RddOp op;
   op.overlap = opts.kernels.overlap;
   op.spmv_flops = a_loc.spmv_flops() + a_ext.spmv_flops();
   if (opts.kernels.format == KernelOptions::Format::Sell) {
     op.sell = true;
-    op.loc_sell = sparse::SellMatrix::from_csr(a_loc, opts.kernels.chunk,
-                                               opts.kernels.sigma);
-    if (sub.n_ext() > 0)
-      op.ext_sell = sparse::SellMatrix::from_csr(a_ext, opts.kernels.chunk,
-                                                 opts.kernels.sigma);
+    op.loc_sell = sparse::SellMatrix::from_csr(a_loc);
+    if (sub.n_ext() > 0) op.ext_sell = sparse::SellMatrix::from_csr(a_ext);
   } else {
     op.loc_csr = &a_loc;
     op.ext_csr = &a_ext;

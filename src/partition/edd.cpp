@@ -98,12 +98,7 @@ EddPartition build_edd_partition(const fem::Mesh& mesh,
     sub.interface_local_dofs.assign(iface.begin(), iface.end());
   }
 
-  // Multiplicity, local matrices, and the unassembled element blocks the
-  // matrix-free Ebe kernel applies (same elements, local dof ids).
-  const index_t edofs =
-      mesh.num_elems() > 0
-          ? as_index(fem::element_dofs(mesh, dofs, 0).size())
-          : index_t{1};
+  // Multiplicity and local matrices.
   for (int p = 0; p < nparts; ++p) {
     EddSubdomain& sub = part.subs[static_cast<std::size_t>(p)];
     sub.multiplicity.resize(sub.local_to_global.size());
@@ -113,22 +108,6 @@ EddPartition build_edd_partition(const fem::Mesh& mesh,
     sub.k_loc = fem::assemble_subset(mesh, dofs, mat, op, sub.elems,
                                      g2l[static_cast<std::size_t>(p)],
                                      sub.n_local());
-    IndexVector eids;
-    std::vector<real_t> evals;
-    eids.reserve(sub.elems.size() * static_cast<std::size_t>(edofs));
-    evals.reserve(sub.elems.size() * static_cast<std::size_t>(edofs) * edofs);
-    for (const index_t e : sub.elems) {
-      const IndexVector gd = fem::element_dofs(mesh, dofs, e);
-      for (const index_t g : gd)
-        eids.push_back(g >= 0 ? g2l[static_cast<std::size_t>(p)]
-                                   [static_cast<std::size_t>(g)]
-                              : index_t{-1});
-      const la::DenseMatrix ke = fem::element_matrix(mesh, mat, op, e);
-      const auto data = ke.data();
-      evals.insert(evals.end(), data.begin(), data.end());
-    }
-    sub.elem_store = std::make_shared<const sparse::EbeStore>(
-        sub.n_local(), edofs, std::move(eids), std::move(evals));
   }
   return part;
 }

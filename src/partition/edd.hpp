@@ -10,14 +10,12 @@
 // send + one recv + one add per neighbor.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "fem/assembly.hpp"
 #include "fem/dofmap.hpp"
 #include "fem/mesh.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ebe_store.hpp"
 
 namespace pfem::partition {
 
@@ -26,14 +24,6 @@ struct EddSubdomain {
   IndexVector elems;            ///< global element ids owned by s
   IndexVector local_to_global;  ///< local dof -> global free dof (sorted)
   sparse::CsrMatrix k_loc;      ///< K̂_loc^(s): sub-assembly on local dofs
-
-  /// The same sub-assembly kept unassembled: the subdomain's element
-  /// matrices with dof ids in *local* numbering (UNSCALED, matching
-  /// k_loc's entries pre-scaling), element order = elems order.  Feeds
-  /// the matrix-free `KernelOptions::Format::Ebe` kernel; shared_ptr so
-  /// partition copies stay cheap.  Hand-built partitions may leave it
-  /// null — the Ebe kernel then fails with a typed error.
-  std::shared_ptr<const sparse::EbeStore> elem_store;
 
   /// Exchange list with one neighboring subdomain: the local dofs shared
   /// with that neighbor, ordered identically (by global dof) on both

@@ -165,6 +165,49 @@ TEST(EddBicgstab, ExchangeCountPerIteration) {
   EXPECT_EQ(d.matvecs, 2u * 4 + 2);
 }
 
+TEST(Bicgstab, ConvergenceIsJudgedByTheTrueResidual) {
+  // Sequential counterpart of the EDD sweep below: neither a
+  // recursive-residual hit nor a breakdown may be reported as
+  // convergence, and a breakdown returns a report instead of throwing.
+  for (const index_t nx : {8, 12, 16}) {
+    fem::CantileverSpec spec;
+    spec.nx = nx;
+    spec.ny = nx / 2;
+    const fem::CantileverProblem prob = fem::make_cantilever(spec);
+    JacobiPrecond jacobi(prob.stiffness);
+    for (const real_t tol : {1e-12, 1e-13, 1e-14, 1e-15, 1e-16}) {
+      SolveOptions opts;
+      opts.tol = tol;
+      Vector x(prob.load.size(), 0.0);
+      SolveReport res;
+      ASSERT_NO_THROW(res = bicgstab(prob.stiffness, prob.load, x, jacobi,
+                                     opts))
+          << nx << "x" << nx / 2 << " tol " << tol;
+      EXPECT_TRUE(!res.converged || res.final_relres <= tol)
+          << nx << "x" << nx / 2 << " tol " << tol
+          << ": converged with true relres " << res.final_relres;
+    }
+  }
+}
+
+TEST(Bicgstab, RhatBreakdownReturnsAReport) {
+  // At tol 1e-16 on the 8x4 cantilever <rhat, r> underflows before the
+  // tolerance is reached: the solve stops and says so.
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  JacobiPrecond jacobi(prob.stiffness);
+  SolveOptions opts;
+  opts.tol = 1e-16;
+  Vector x(prob.load.size(), 0.0);
+  const SolveReport res = bicgstab(prob.stiffness, prob.load, x, jacobi, opts);
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_EQ(res.converged, res.final_relres <= opts.tol);
+  EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.iterations));
+  EXPECT_LT(res.final_relres, 1e-12);
+}
+
 TEST(EddBicgstab, ConvergenceIsJudgedByTheTrueResidual) {
   // Near machine precision the recursive residual drifts below the true
   // one; a recursive-residual hit must not be reported as convergence.

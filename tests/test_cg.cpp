@@ -184,6 +184,28 @@ TEST(EddCg, AgreesWithEddFgmresIterationsBallpark) {
   EXPECT_LT(gm.iterations, 4 * cg.iterations + 10);
 }
 
+TEST(Pcg, ConvergenceIsJudgedByTheTrueResidual) {
+  // Sequential counterpart of the EDD sweep below: near machine
+  // precision the recursive residual drifts below the true one, and a
+  // recursive-residual hit must not be reported as convergence.
+  for (const index_t nx : {8, 12, 16}) {
+    fem::CantileverSpec spec;
+    spec.nx = nx;
+    spec.ny = nx / 2;
+    const fem::CantileverProblem prob = fem::make_cantilever(spec);
+    JacobiPrecond jacobi(prob.stiffness);
+    for (const real_t tol : {1e-12, 1e-13, 1e-14, 1e-15, 1e-16}) {
+      SolveOptions opts;
+      opts.tol = tol;
+      Vector x(prob.load.size(), 0.0);
+      const SolveReport res = pcg(prob.stiffness, prob.load, x, jacobi, opts);
+      EXPECT_TRUE(!res.converged || res.final_relres <= tol)
+          << nx << "x" << nx / 2 << " tol " << tol
+          << ": converged with true relres " << res.final_relres;
+    }
+  }
+}
+
 TEST(EddCg, ConvergenceIsJudgedByTheTrueResidual) {
   // Near machine precision the recursive residual drifts below the true
   // one; a recursive-residual hit must not be reported as convergence.

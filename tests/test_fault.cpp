@@ -686,13 +686,15 @@ TEST(ChaosSweep, FamilyScenesWithDeflationConvergeOrFailTyped) {
   EXPECT_GE(static_cast<int>(distinct_signatures.size()), 8);
 }
 
-// Kernel-format independence under chaos: the matrix-free Ebe kernel
+// Kernel-format independence under chaos: the production SELL kernel
 // with exchange overlap must hit the same fault sites and replay the
-// same deterministic signatures as the scalar-CSR kernel — the exchange
-// schedule (where faults bind) is a property of the discipline, not of
-// the operator storage.  8 seeds: enough to cover converged and typed
-// outcomes without doubling the sweep's runtime.
-TEST(ChaosSweep, EbeKernelHitsSameFaultSitesAsCsr) {
+// same deterministic signatures as the scalar-CSR reference without
+// overlap — the exchange schedule (where faults bind) is a property of
+// the discipline, not of the operator storage.  The two formats are
+// bit-identical, so the residual histories must match bit for bit too.
+// 8 seeds: enough to cover converged and typed outcomes without
+// doubling the sweep's runtime.
+TEST(ChaosSweep, SellKernelHitsSameFaultSitesAsCsr) {
   chaos::GlobalWatchdog watchdog(120.0);
 
   FaultSpec spec;
@@ -707,12 +709,12 @@ TEST(ChaosSweep, EbeKernelHitsSameFaultSitesAsCsr) {
   core::KernelOptions csr;
   csr.format = core::KernelOptions::Format::Csr;
   csr.overlap = false;
-  core::KernelOptions ebe;
-  ebe.format = core::KernelOptions::Format::Ebe;
-  ebe.overlap = true;
+  core::KernelOptions sell;
+  sell.format = core::KernelOptions::Format::Sell;
+  sell.overlap = true;
 
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    watchdog.note("ebe-vs-csr seed " + std::to_string(seed));
+    watchdog.note("sell-vs-csr seed " + std::to_string(seed));
     const FaultPlan plan = FaultPlan::generate(seed, spec);
     const std::string recipe =
         "seed " + std::to_string(seed) + "\n" + plan.describe();
@@ -720,7 +722,7 @@ TEST(ChaosSweep, EbeKernelHitsSameFaultSitesAsCsr) {
     FaultInjector inj(plan);
     const chaos::ChaosRun ref = chaos::run_case(inj, timeout_s, {}, csr);
     inj.reset();
-    const chaos::ChaosRun run = chaos::run_case(inj, timeout_s, {}, ebe);
+    const chaos::ChaosRun run = chaos::run_case(inj, timeout_s, {}, sell);
 
     // Same outcome class and the same deterministic fault record: the
     // plans bind to exchange/collective sequence numbers, which the
@@ -731,11 +733,9 @@ TEST(ChaosSweep, EbeKernelHitsSameFaultSitesAsCsr) {
     EXPECT_EQ(chaos::deterministic_signature(run),
               chaos::deterministic_signature(ref))
         << recipe;
+    EXPECT_EQ(run.history, ref.history) << recipe;
     if (run.converged) {
       EXPECT_LT(run.true_relres, 1e-6) << recipe;
-      // Same trajectory length; the values differ only by the element
-      // sweep's reassociation.
-      EXPECT_EQ(run.history.size(), ref.history.size()) << recipe;
     }
   }
 }

@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "fem/assembly.hpp"
-#include "fem/ebe.hpp"
 #include "fem/elements.hpp"
 #include "fem/problems.hpp"
 #include "fem/structured.hpp"
@@ -329,53 +328,6 @@ TEST(Cantilever, MassAssemblesWithSamePattern) {
   // Same pattern -> add_same_pattern must succeed.
   sparse::CsrMatrix keff = prob.stiffness;
   EXPECT_NO_THROW(keff.add_same_pattern(m, 4.0));
-}
-
-TEST(Ebe, ApplyMatchesAssembledMatrix) {
-  for (ElemType t : {ElemType::Quad4, ElemType::Tri3, ElemType::Quad8}) {
-    CantileverSpec spec;
-    spec.nx = 6;
-    spec.ny = 3;
-    spec.elem_type = t;
-    const CantileverProblem prob = make_cantilever(spec);
-    const EbeOperator ebe(prob.mesh, prob.dofs, prob.material,
-                          Operator::Stiffness);
-    const std::size_t n = prob.load.size();
-    Vector x(n), y1(n), y2(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = std::cos(0.23 * double(i));
-    prob.stiffness.spmv(x, y1);
-    ebe.apply(x, y2);
-    const real_t scale = la::nrm_inf(y1) + 1.0;
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(y2[i], y1[i], 1e-11 * scale);
-  }
-}
-
-TEST(Ebe, StoresMoreThanCsrButNeedsNoAssembly) {
-  CantileverSpec spec;
-  spec.nx = 10;
-  spec.ny = 10;
-  const CantileverProblem prob = make_cantilever(spec);
-  const EbeOperator ebe(prob.mesh, prob.dofs, prob.material,
-                        Operator::Stiffness);
-  EXPECT_GT(ebe.stored_values(),
-            static_cast<std::uint64_t>(prob.stiffness.nnz()));
-  EXPECT_LT(ebe.stored_values(),
-            3ull * static_cast<std::uint64_t>(prob.stiffness.nnz()));
-}
-
-TEST(Ebe, LinearOpAdapterWorks) {
-  CantileverSpec spec;
-  spec.nx = 5;
-  spec.ny = 2;
-  const CantileverProblem prob = make_cantilever(spec);
-  const EbeOperator ebe(prob.mesh, prob.dofs, prob.material,
-                        Operator::Stiffness);
-  const core::LinearOp op = ebe.as_linear_op();
-  EXPECT_EQ(op.size(), prob.dofs.num_free());
-  Vector x(prob.load.size(), 1.0), y(prob.load.size());
-  op.apply(x, y);
-  EXPECT_GT(la::nrm_inf(y), 0.0);
 }
 
 TEST(Cantilever, TriElementVariant) {

@@ -12,10 +12,10 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "la/dense.hpp"
 #include "la/vector_ops.hpp"
 
 #include "core/cg.hpp"
@@ -27,7 +27,6 @@
 #include "fem/families.hpp"
 #include "fem/problems.hpp"
 #include "fem/structured.hpp"
-#include "sparse/ebe_store.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/sell.hpp"
 
@@ -117,7 +116,29 @@ std::vector<CsrMatrix> matrix_family() {
   fam.push_back(sparse::tridiag(1, 3.0, 0.0));  // single row
   fam.push_back(sparse::tridiag(3, 3.0, -1.0));  // n < every chunk width
   fam.push_back(sparse::tridiag(8, 3.0, -1.0));  // n == default chunk
+  // Norm-1 scaled, as a rank kernel stores it.
+  CsrMatrix scaled = sparse::laplace2d(11, 9);
+  Vector d = scaled.row_norms1();
+  for (auto& di : d) di = 1.0 / std::sqrt(di);
+  scaled.scale_symmetric(d);
+  fam.push_back(std::move(scaled));
   return fam;
+}
+
+/// Interior rows (not interface and coupled to no interface column) and
+/// the rest — the same split RankKernel builds with overlap on.
+void split_rows(const CsrMatrix& a, std::span<const index_t> iface,
+                IndexVector& interior, IndexVector& coupled) {
+  std::vector<char> is_iface(static_cast<std::size_t>(a.rows()), 0);
+  for (const index_t i : iface) is_iface[static_cast<std::size_t>(i)] = 1;
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  for (index_t i = 0; i < a.rows(); ++i) {
+    bool inner = is_iface[static_cast<std::size_t>(i)] == 0;
+    for (index_t k = rp[i]; inner && k < rp[i + 1]; ++k)
+      inner = is_iface[static_cast<std::size_t>(ci[k])] == 0;
+    (inner ? interior : coupled).push_back(i);
+  }
 }
 
 const int kChunks[] = {4, 8, 16, 0};  // 0 = platform default
@@ -172,22 +193,32 @@ TEST(SellSpmv, RoundTripsToCsrExactly) {
 TEST(SellSpmv, RowSubsetBlocksComposeToFullApply) {
   for (const CsrMatrix& a : matrix_family()) {
     const index_t n = a.rows();
-    IndexVector even, odd, none;
+    // Two splits: even/odd rows, and the interior/coupled rows of an
+    // arbitrary scattered "interface" (every 7th dof).
+    IndexVector even, odd, none, iface, interior, coupled;
     for (index_t i = 0; i < n; ++i) ((i % 2 == 0) ? even : odd).push_back(i);
+    for (index_t i = 0; i < n; i += 7) iface.push_back(i);
+    split_rows(a, iface, interior, coupled);
     const Vector x = test_vector(static_cast<std::size_t>(a.cols()), 37);
     Vector y_ref(static_cast<std::size_t>(n), 0.0);
     a.spmv(x, y_ref);
 
-    const SellMatrix se = SellMatrix::from_csr_rows(a, even, 8);
-    const SellMatrix so = SellMatrix::from_csr_rows(a, odd, 8);
-    const SellMatrix s0 = SellMatrix::from_csr_rows(a, none, 8);
-    EXPECT_EQ(se.nnz() + so.nnz(), a.nnz());
-    EXPECT_EQ(s0.nnz(), 0);
-    Vector y(static_cast<std::size_t>(n), 0.0);
-    se.spmv(x, y);
-    so.spmv(x, y);
-    s0.spmv(x, y);  // no-op on empty subset
-    for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]);
+    for (const int c : kChunks) {
+      for (const auto& [first, second] :
+           {std::pair{&even, &odd}, std::pair{&coupled, &interior}}) {
+        const SellMatrix s1 = SellMatrix::from_csr_rows(a, *first, c);
+        const SellMatrix s2 = SellMatrix::from_csr_rows(a, *second, c);
+        const SellMatrix s0 = SellMatrix::from_csr_rows(a, none, c);
+        EXPECT_EQ(s1.nnz() + s2.nnz(), a.nnz());
+        EXPECT_EQ(s0.nnz(), 0);
+        Vector y(static_cast<std::size_t>(n), 0.0);
+        s1.spmv(x, y);
+        s2.spmv(x, y);
+        s0.spmv(x, y);  // no-op on empty subset
+        for (std::size_t i = 0; i < y.size(); ++i)
+          ASSERT_EQ(y[i], y_ref[i]) << "row " << i << " chunk " << c;
+      }
+    }
   }
 }
 
@@ -203,22 +234,6 @@ struct ElasticityCase {
   std::shared_ptr<const CsrMatrix> a;
   IndexVector rows;
 };
-
-/// Interior rows (not interface and coupled to no interface column) and
-/// the rest — the same split RankKernel builds with overlap on.
-void split_rows(const CsrMatrix& a, std::span<const index_t> iface,
-                IndexVector& interior, IndexVector& coupled) {
-  std::vector<char> is_iface(static_cast<std::size_t>(a.rows()), 0);
-  for (const index_t i : iface) is_iface[static_cast<std::size_t>(i)] = 1;
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  for (index_t i = 0; i < a.rows(); ++i) {
-    bool inner = is_iface[static_cast<std::size_t>(i)] == 0;
-    for (index_t k = rp[i]; inner && k < rp[i + 1]; ++k)
-      inner = is_iface[static_cast<std::size_t>(ci[k])] == 0;
-    (inner ? interior : coupled).push_back(i);
-  }
-}
 
 /// The rank operators of `part`: full, coupled and interior per rank.
 void add_rank_cases(const std::string& tag,
@@ -254,6 +269,8 @@ const std::vector<ElasticityCase>& elasticity_cases() {
     std::vector<ElasticityCase> c;
     add_rank_cases("Mesh10 P=4",
                    exp::make_edd(fem::make_table2_cantilever(10), 4), c);
+    add_rank_cases("Mesh6 P=4",
+                   exp::make_edd(fem::make_table2_cantilever(6), 4), c);
     fem::CantileverSpec q8;
     q8.nx = 12;
     q8.ny = 5;
@@ -387,19 +404,16 @@ TEST(SellBlock, SplitRankKernelOnElasticityBitIdentical) {
     const Vector x = test_vector(n, 71);
     Vector y_ref(n, 0.0);
     scaled.spmv(x, y_ref);
-    for (const int c : kChunks) {
-      KernelOptions ko;
-      ko.chunk = c;
-      const RankKernel kern(k, Vector(d), sub.interface_local_dofs, ko);
-      ASSERT_TRUE(kern.split());
-      Vector y(n, 0.0), y2(n, -1.0e300);
-      kern.apply(x, y);
-      kern.apply_coupled(x, y2);
-      kern.apply_interior(x, y2);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(y[i], y_ref[i]) << "dof " << i << " C=" << c;
-        ASSERT_EQ(y2[i], y_ref[i]) << "dof " << i << " C=" << c;
-      }
+    const RankKernel kern(k, Vector(d), sub.interface_local_dofs,
+                          KernelOptions{});
+    ASSERT_TRUE(kern.split());
+    Vector y(n, 0.0), y2(n, -1.0e300);
+    kern.apply(x, y);
+    kern.apply_coupled(x, y2);
+    kern.apply_interior(x, y2);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(y[i], y_ref[i]) << "dof " << i;
+      ASSERT_EQ(y2[i], y_ref[i]) << "dof " << i;
     }
   }
 }
@@ -463,24 +477,19 @@ TEST(RankKernelTest, AllConfigsBitIdenticalToScaledCsr) {
   for (const auto format :
        {KernelOptions::Format::Csr, KernelOptions::Format::Sell}) {
     for (const bool overlap : {false, true}) {
-      for (const int c : kChunks) {
-        KernelOptions ko;
-        ko.format = format;
-        ko.overlap = overlap;
-        ko.chunk = c;
-        const RankKernel a(k, Vector(d), iface, ko);
-        EXPECT_EQ(a.split(), overlap);
-        Vector y(n, 0.0);
-        a.apply(x, y);
-        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
-        if (a.split()) {
-          // The two half-applies must partition the rows: coupled then
-          // interior writes every entry exactly once.
-          Vector y2(n, -1.0e300);
-          a.apply_coupled(x, y2);
-          a.apply_interior(x, y2);
-          for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y2[i], y_ref[i]);
-        }
+      const RankKernel a(k, Vector(d), iface,
+                         KernelOptions{format, overlap});
+      EXPECT_EQ(a.split(), overlap);
+      Vector y(n, 0.0);
+      a.apply(x, y);
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
+      if (a.split()) {
+        // The two half-applies must partition the rows: coupled then
+        // interior writes every entry exactly once.
+        Vector y2(n, -1.0e300);
+        a.apply_coupled(x, y2);
+        a.apply_interior(x, y2);
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y2[i], y_ref[i]);
       }
     }
   }
@@ -611,469 +620,6 @@ TEST(DistKernels, BatchSolveBitNeutralAcrossKernelConfigs) {
       for (std::size_t i = 0; i < runs[0].items[b].history.size(); ++i)
         ASSERT_EQ(runs[r].items[b].history[i],
                   runs[0].items[b].history[i]);
-    }
-  }
-}
-
-// ---- EbeStore: the matrix-free element container under Format::Ebe.
-// Bit-identity with assembled CSR cannot hold for a general mesh (the
-// element sweep reassociates row sums), so the exact tests use shapes
-// where the accumulation order coincides — a single dense element — and
-// the distributed tests check the format-neutral invariants instead:
-// identical iteration counts, identical exchange counters, ulp-bounded
-// solutions.
-
-/// One dense element covering every dof: the EBE sweep's per-row
-/// accumulation runs in ascending column order, exactly like the CSR row
-/// loop, so apply and scaling must match bit for bit.
-sparse::EbeStore dense_single_element(const la::DenseMatrix& ke) {
-  IndexVector ids(static_cast<std::size_t>(ke.rows()));
-  for (index_t i = 0; i < ke.rows(); ++i)
-    ids[static_cast<std::size_t>(i)] = i;
-  const auto data = ke.data();
-  return sparse::EbeStore(ke.rows(), ke.rows(), std::move(ids),
-                          std::vector<real_t>(data.begin(), data.end()));
-}
-
-la::DenseMatrix dense_test_matrix(index_t n, std::uint64_t seed) {
-  la::DenseMatrix m(n, n);
-  const Vector v = test_vector(static_cast<std::size_t>(n) *
-                                   static_cast<std::size_t>(n),
-                               seed);
-  for (index_t r = 0; r < n; ++r)
-    for (index_t c = 0; c < n; ++c)
-      m(r, c) = v[static_cast<std::size_t>(r) * n + c] +
-                (r == c ? 10.0 : 0.0);
-  return m;
-}
-
-CsrMatrix csr_from_dense(const la::DenseMatrix& m) {
-  const index_t n = m.rows();
-  IndexVector rp(static_cast<std::size_t>(n) + 1, 0);
-  IndexVector ci;
-  Vector vals;
-  for (index_t r = 0; r < n; ++r) {
-    for (index_t c = 0; c < n; ++c) {
-      ci.push_back(c);
-      vals.push_back(m(r, c));
-    }
-    rp[static_cast<std::size_t>(r) + 1] = as_index(ci.size());
-  }
-  return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(vals));
-}
-
-TEST(EbeStore, SingleDenseElementApplyBitIdenticalToCsr) {
-  const index_t n = 12;
-  const la::DenseMatrix ke = dense_test_matrix(n, 53);
-  const sparse::EbeStore store = dense_single_element(ke);
-  const CsrMatrix a = csr_from_dense(ke);
-  const Vector x = test_vector(static_cast<std::size_t>(n), 59);
-  Vector y_ref(static_cast<std::size_t>(n), 0.0);
-  a.spmv(x, y_ref);
-  Vector y(static_cast<std::size_t>(n), 0.0);
-  store.apply_add(0, store.num_elems(), x, y);
-  for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]);
-}
-
-TEST(EbeStore, ScaleFoldBitIdenticalToCsrScaleSymmetric) {
-  const index_t n = 9;
-  const la::DenseMatrix ke = dense_test_matrix(n, 61);
-  sparse::EbeStore store = dense_single_element(ke);
-  CsrMatrix a = csr_from_dense(ke);
-  Vector d = a.row_norms1();
-  for (auto& v : d) v = 1.0 / std::sqrt(v);
-  a.scale_symmetric(d);
-  store.scale_symmetric(d);
-  const auto ref = a.values();
-  const auto got = store.values();
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t k = 0; k < ref.size(); ++k)
-    ASSERT_EQ(got[k], ref[k]) << "entry " << k;
-}
-
-TEST(EbeStore, ConstructionRejectsMalformedInput) {
-  // edofs outside [1, kMaxEbeElemDofs].
-  EXPECT_THROW(sparse::EbeStore(4, 0, IndexVector{}, {}), Error);
-  EXPECT_THROW(sparse::EbeStore(4, sparse::kMaxEbeElemDofs + 1,
-                                IndexVector{}, {}),
-               Error);
-  // dof_ids not a multiple of edofs.
-  EXPECT_THROW(sparse::EbeStore(4, 2, IndexVector{0, 1, 2}, Vector(4, 0.0)),
-               Error);
-  // values size mismatch.
-  EXPECT_THROW(sparse::EbeStore(4, 2, IndexVector{0, 1}, Vector(3, 0.0)),
-               Error);
-  // Out-of-bounds dof id, and an id below the -1 marker.
-  EXPECT_THROW(sparse::EbeStore(4, 2, IndexVector{0, 4}, Vector(4, 0.0)),
-               Error);
-  EXPECT_THROW(sparse::EbeStore(4, 2, IndexVector{0, -2}, Vector(4, 0.0)),
-               Error);
-  // Valid: constrained markers and an empty store.
-  EXPECT_NO_THROW(sparse::EbeStore(4, 2, IndexVector{-1, 3}, Vector(4, 1.0)));
-  EXPECT_NO_THROW(sparse::EbeStore(0, 2, IndexVector{}, {}));
-}
-
-TEST(EbeStore, PermutedRejectsNonPermutations) {
-  const la::DenseMatrix ke = dense_test_matrix(3, 67);
-  const sparse::EbeStore store = dense_single_element(ke);
-  const IndexVector dup = {0, 0};
-  const IndexVector oob = {1};
-  EXPECT_THROW((void)store.permuted(dup), Error);
-  EXPECT_THROW((void)store.permuted(oob), Error);
-  const IndexVector id_order = {0};
-  const sparse::EbeStore same = store.permuted(id_order);
-  EXPECT_EQ(same.num_elems(), store.num_elems());
-}
-
-// ---- RankKernel Format::Ebe: built from a real partition's element
-// store, checked against the scalar-CSR kernel.
-
-struct EbeFixture {
-  fem::CantileverProblem prob;
-  partition::EddPartition part;
-  EbeFixture() : prob(fem::make_cantilever(make_spec())),
-                 part(exp::make_edd(prob, 4)) {}
-  static fem::CantileverSpec make_spec() {
-    fem::CantileverSpec s;
-    s.nx = 10;
-    s.ny = 5;
-    return s;
-  }
-};
-
-/// Local positive scaling for kernel-level tests (the solver's d is
-/// globally exchanged; any positive diagonal exercises the contract).
-Vector local_scaling(const CsrMatrix& k) {
-  Vector d = k.row_norms1();
-  for (auto& v : d) v = v > 0.0 ? 1.0 / std::sqrt(v) : 1.0;
-  return d;
-}
-
-TEST(RankKernelEbe, HalvesComposeBitwiseToWholeApply) {
-  const EbeFixture fx;
-  for (const auto& sub : fx.part.subs) {
-    ASSERT_NE(sub.elem_store, nullptr);
-    const Vector d = local_scaling(sub.k_loc);
-    KernelOptions ko;
-    ko.format = KernelOptions::Format::Ebe;
-    ko.overlap = true;
-    const RankKernel a(sub.k_loc, Vector(d), sub.interface_local_dofs, ko,
-                       sub.elem_store.get());
-    ASSERT_TRUE(a.additive());
-    const std::size_t n = static_cast<std::size_t>(sub.n_local());
-    const Vector x = test_vector(n, 71);
-    Vector y_whole(n, 0.0), y_split(n, 0.0);
-    a.apply(x, y_whole);
-    // Elements are stored [coupled | interior], so the Enhanced-order
-    // split (coupled first) replays apply()'s scatter-add order exactly.
-    la::fill(y_split, 0.0);
-    a.apply_coupled(x, y_split);
-    a.apply_interior(x, y_split);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y_split[i], y_whole[i]);
-  }
-}
-
-TEST(RankKernelEbe, ApplyMatchesCsrWithinUlpBound) {
-  const EbeFixture fx;
-  for (const auto& sub : fx.part.subs) {
-    const Vector d = local_scaling(sub.k_loc);
-    KernelOptions csr;
-    csr.format = KernelOptions::Format::Csr;
-    csr.overlap = false;
-    const RankKernel ref(sub.k_loc, Vector(d), sub.interface_local_dofs,
-                         csr);
-    KernelOptions ebe;
-    ebe.format = KernelOptions::Format::Ebe;
-    ebe.overlap = false;
-    const RankKernel a(sub.k_loc, Vector(d), sub.interface_local_dofs, ebe,
-                       sub.elem_store.get());
-    EXPECT_EQ(a.apply_flops(), sub.elem_store->apply_flops());
-    const std::size_t n = static_cast<std::size_t>(sub.n_local());
-    const Vector x = test_vector(n, 73);
-    Vector y_ref(n, 0.0), y(n, 0.0);
-    ref.apply(x, y_ref);
-    a.apply(x, y);
-    // Reassociation bound: the element sweep and the row loop agree to a
-    // few ulps of the row magnitude Σ|v_k x_k| — 1e-13 relative covers
-    // the handful of contributing elements per row with a wide margin.
-    real_t scale = 1.0;
-    for (std::size_t i = 0; i < n; ++i)
-      scale = std::max(scale, std::abs(y_ref[i]));
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_NEAR(y[i], y_ref[i], 1e-13 * scale) << "dof " << i;
-  }
-}
-
-TEST(RankKernelEbe, ApplyManyBitIdenticalToPerLaneApply) {
-  const EbeFixture fx;
-  const auto& sub = fx.part.subs.front();
-  const Vector d = local_scaling(sub.k_loc);
-  KernelOptions ko;
-  ko.format = KernelOptions::Format::Ebe;
-  ko.overlap = true;
-  const RankKernel a(sub.k_loc, Vector(d), sub.interface_local_dofs, ko,
-                     sub.elem_store.get());
-  const std::size_t n = static_cast<std::size_t>(sub.n_local());
-  std::vector<Vector> xs = {test_vector(n, 79), test_vector(n, 83),
-                            test_vector(n, 89)};
-  std::vector<Vector> ys(xs.size(), Vector(n));
-  std::vector<const Vector*> xp;
-  std::vector<Vector*> yp;
-  for (std::size_t b = 0; b < xs.size(); ++b) {
-    xp.push_back(&xs[b]);
-    yp.push_back(&ys[b]);
-  }
-  a.apply_many(xp, yp);
-  // The element-major sweep runs each lane through the identical
-  // per-element gather/multiply/scatter order as a standalone apply.
-  for (std::size_t b = 0; b < xs.size(); ++b) {
-    Vector y_one(n, 0.0);
-    a.apply(xs[b], y_one);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(ys[b][i], y_one[i]);
-  }
-}
-
-TEST(RankKernelEbe, TypedErrorsWithoutElementData) {
-  const EbeFixture fx;
-  const auto& sub = fx.part.subs.front();
-  const Vector d = local_scaling(sub.k_loc);
-  KernelOptions ko;
-  ko.format = KernelOptions::Format::Ebe;
-  // No element store: typed error, not UB.
-  EXPECT_THROW(RankKernel(sub.k_loc, Vector(d), sub.interface_local_dofs,
-                          ko, nullptr),
-               Error);
-}
-
-// ---- Distributed Format::Ebe: the format must preserve the solver's
-// observable contract — iteration counts, exchange counters, convergence
-// — against the Csr reference, and the Enhanced discipline must be
-// bit-neutral in the overlap knob (its split replays apply()'s order).
-
-std::vector<KernelOptions> ebe_configs() {
-  std::vector<KernelOptions> cfgs;
-  for (const bool overlap : {false, true}) {
-    KernelOptions ko;
-    ko.format = KernelOptions::Format::Ebe;
-    ko.overlap = overlap;
-    cfgs.push_back(ko);
-  }
-  return cfgs;
-}
-
-TEST(DistKernelsEbe, SolveEddPreservesIterationsAndExchangeCounts) {
-  const EbeFixture fx;
-  core::PolySpec poly;
-  poly.kind = core::PolyKind::Gls;
-  poly.degree = 3;
-
-  for (const auto variant :
-       {core::EddVariant::Basic, core::EddVariant::Enhanced}) {
-    core::SolveOptions ref_opts;
-    ref_opts.tol = 1e-8;
-    ref_opts.kernels.format = KernelOptions::Format::Csr;
-    ref_opts.kernels.overlap = false;
-    const core::DistSolve ref =
-        solve_edd(fx.part, fx.prob.load, poly, ref_opts, variant);
-    ASSERT_TRUE(ref.converged);
-
-    const real_t xscale = la::nrm_inf(ref.x);
-    for (const KernelOptions& ko : ebe_configs()) {
-      core::SolveOptions opts;
-      opts.tol = 1e-8;
-      opts.kernels = ko;
-      const core::DistSolve run =
-          solve_edd(fx.part, fx.prob.load, poly, opts, variant);
-      ASSERT_TRUE(run.converged);
-      // The format-neutral contract: same iteration trajectory length
-      // and the Table-1 exchange counts untouched.
-      EXPECT_EQ(run.iterations, ref.iterations);
-      EXPECT_EQ(run.history.size(), ref.history.size());
-      ASSERT_EQ(run.rank_counters.size(), ref.rank_counters.size());
-      for (std::size_t s = 0; s < ref.rank_counters.size(); ++s)
-        EXPECT_EQ(run.rank_counters[s].neighbor_exchanges,
-                  ref.rank_counters[s].neighbor_exchanges)
-            << "rank " << s;
-      // Solutions agree to the reassociation ulp bound.
-      ASSERT_EQ(run.x.size(), ref.x.size());
-      for (std::size_t i = 0; i < ref.x.size(); ++i)
-        ASSERT_NEAR(run.x[i], ref.x[i], 1e-8 * xscale) << "dof " << i;
-    }
-  }
-}
-
-TEST(DistKernelsEbe, EnhancedOverlapIsBitNeutral) {
-  const EbeFixture fx;
-  core::PolySpec poly;
-  poly.kind = core::PolyKind::Gls;
-  poly.degree = 3;
-
-  std::vector<core::DistSolve> runs;
-  for (const KernelOptions& ko : ebe_configs()) {
-    core::SolveOptions opts;
-    opts.tol = 1e-8;
-    opts.kernels = ko;
-    runs.push_back(solve_edd(fx.part, fx.prob.load, poly, opts,
-                             core::EddVariant::Enhanced));
-    ASSERT_TRUE(runs.back().converged);
-  }
-  // Enhanced splits coupled-then-interior — the stored element order —
-  // so turning overlap on must not move a single bit.  (Basic's split
-  // runs interior first, a different scatter-add order, so it is only
-  // ulp-close; the iteration/exchange contract above covers it.)
-  const core::DistSolve& ref = runs.front();
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].iterations, ref.iterations);
-    ASSERT_EQ(runs[r].history.size(), ref.history.size());
-    for (std::size_t i = 0; i < ref.history.size(); ++i)
-      ASSERT_EQ(runs[r].history[i], ref.history[i]) << "iteration " << i;
-    ASSERT_EQ(runs[r].x.size(), ref.x.size());
-    for (std::size_t i = 0; i < ref.x.size(); ++i)
-      ASSERT_EQ(runs[r].x[i], ref.x[i]) << "dof " << i;
-  }
-}
-
-TEST(DistKernelsEbe, SolveEddCgPreservesConvergence) {
-  const EbeFixture fx;
-  core::PolySpec poly;
-  poly.kind = core::PolyKind::Gls;
-  poly.degree = 3;
-
-  core::SolveOptions ref_opts;
-  ref_opts.tol = 1e-8;
-  ref_opts.kernels.format = KernelOptions::Format::Csr;
-  ref_opts.kernels.overlap = false;
-  const core::DistSolve ref =
-      core::solve_edd_cg(fx.part, fx.prob.load, poly, ref_opts);
-  ASSERT_TRUE(ref.converged);
-  const real_t xscale = la::nrm_inf(ref.x);
-
-  for (const KernelOptions& ko : ebe_configs()) {
-    core::SolveOptions opts;
-    opts.tol = 1e-8;
-    opts.kernels = ko;
-    const core::DistSolve run =
-        core::solve_edd_cg(fx.part, fx.prob.load, poly, opts);
-    ASSERT_TRUE(run.converged);
-    EXPECT_EQ(run.iterations, ref.iterations);
-    for (std::size_t i = 0; i < ref.x.size(); ++i)
-      ASSERT_NEAR(run.x[i], ref.x[i], 1e-8 * xscale) << "dof " << i;
-  }
-}
-
-TEST(DistKernelsEbe, BatchSolvePreservesConvergence) {
-  const EbeFixture fx;
-  const int p = fx.part.nparts();
-  core::PolySpec poly;
-  poly.kind = core::PolyKind::Gls;
-  poly.degree = 3;
-
-  std::vector<Vector> rhs;
-  rhs.push_back(Vector(fx.prob.load.begin(), fx.prob.load.end()));
-  rhs.push_back(test_vector(fx.prob.load.size(), 97));
-
-  par::Team team(p);
-  core::SolveOptions ref_opts;
-  ref_opts.tol = 1e-8;
-  ref_opts.kernels.format = KernelOptions::Format::Csr;
-  ref_opts.kernels.overlap = false;
-  const core::EddOperatorState ref_op = core::build_edd_operator(
-      team, fx.part, poly, nullptr, nullptr, ref_opts.kernels);
-  const core::BatchSolveResult ref =
-      core::solve_edd_batch(team, fx.part, ref_op, rhs, ref_opts);
-  ASSERT_TRUE(ref.comm_error.empty());
-
-  std::vector<core::BatchSolveResult> runs;
-  for (const KernelOptions& ko : ebe_configs()) {
-    core::SolveOptions opts;
-    opts.tol = 1e-8;
-    opts.kernels = ko;
-    const core::EddOperatorState op =
-        core::build_edd_operator(team, fx.part, poly, nullptr, nullptr, ko);
-    runs.push_back(core::solve_edd_batch(team, fx.part, op, rhs, opts));
-    ASSERT_TRUE(runs.back().comm_error.empty());
-  }
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].items.size(), ref.items.size());
-    for (std::size_t b = 0; b < ref.items.size(); ++b) {
-      ASSERT_TRUE(runs[r].items[b].converged);
-      EXPECT_EQ(runs[r].items[b].iterations, ref.items[b].iterations)
-          << "rhs " << b;
-      real_t xscale = 1.0;
-      for (const real_t v : ref.x[b]) xscale = std::max(xscale, std::abs(v));
-      for (std::size_t i = 0; i < ref.x[b].size(); ++i)
-        ASSERT_NEAR(runs[r].x[b][i], ref.x[b][i], 1e-8 * xscale)
-            << "rhs " << b << " dof " << i;
-    }
-  }
-  // The batch split order (coupled before interior) equals the stored
-  // element order, so the Ebe batch is bit-neutral in the overlap knob.
-  for (std::size_t b = 0; b < rhs.size(); ++b)
-    for (std::size_t i = 0; i < runs[0].x[b].size(); ++i)
-      ASSERT_EQ(runs[1].x[b][i], runs[0].x[b][i])
-          << "rhs " << b << " dof " << i;
-}
-
-TEST(DistKernelsEbe, LocalMatrixOverrideIsRejected) {
-  const EbeFixture fx;
-  core::PolySpec poly;
-  poly.kind = core::PolyKind::None;
-  core::SolveOptions opts;
-  opts.kernels.format = KernelOptions::Format::Ebe;
-  std::vector<CsrMatrix> override_mats;
-  for (const auto& sub : fx.part.subs) override_mats.push_back(sub.k_loc);
-  EXPECT_THROW((void)solve_edd(fx.part, fx.prob.load, poly, opts,
-                               core::EddVariant::Enhanced, &override_mats),
-               Error);
-  EXPECT_THROW((void)core::solve_edd_cg(fx.part, fx.prob.load, poly, opts,
-                                        &override_mats),
-               Error);
-  par::Team team(fx.part.nparts());
-  EXPECT_THROW((void)core::build_edd_operator(team, fx.part, poly,
-                                              &override_mats, nullptr,
-                                              opts.kernels),
-               Error);
-}
-
-// ---- Acceptance (ISSUE 9): Format::Ebe solves the paper's Table-2
-// meshes through both EDD disciplines with iteration counts and
-// per-rank exchange counts identical to Format::Csr.
-
-TEST(DistKernelsEbe, Table2MeshesMatchCsrIterationForIteration) {
-  for (const int mesh_number : {1, 2}) {
-    const fem::CantileverProblem prob =
-        fem::make_table2_cantilever(mesh_number);
-    const int p = mesh_number == 1 ? 2 : 4;
-    const partition::EddPartition part = exp::make_edd(prob, p);
-    core::PolySpec poly;
-    poly.kind = core::PolyKind::Gls;
-    poly.degree = 3;
-
-    for (const auto variant :
-         {core::EddVariant::Basic, core::EddVariant::Enhanced}) {
-      core::SolveOptions copts;
-      copts.tol = 1e-8;
-      copts.kernels.format = KernelOptions::Format::Csr;
-      const core::DistSolve csr =
-          solve_edd(part, prob.load, poly, copts, variant);
-      ASSERT_TRUE(csr.converged);
-
-      core::SolveOptions eopts;
-      eopts.tol = 1e-8;
-      eopts.kernels.format = KernelOptions::Format::Ebe;
-      const core::DistSolve ebe =
-          solve_edd(part, prob.load, poly, eopts, variant);
-      ASSERT_TRUE(ebe.converged);
-
-      EXPECT_EQ(ebe.iterations, csr.iterations)
-          << "Mesh" << mesh_number << " variant "
-          << (variant == core::EddVariant::Basic ? "Basic" : "Enhanced");
-      EXPECT_EQ(ebe.restarts, csr.restarts);
-      ASSERT_EQ(ebe.rank_counters.size(), csr.rank_counters.size());
-      for (std::size_t s = 0; s < csr.rank_counters.size(); ++s)
-        EXPECT_EQ(ebe.rank_counters[s].neighbor_exchanges,
-                  csr.rank_counters[s].neighbor_exchanges)
-            << "rank " << s;
     }
   }
 }

@@ -436,41 +436,33 @@ TEST(Service, SolvesAndCachesOperator) {
   service.shutdown();
 }
 
-TEST(Service, EbeKernelFormatSolvesThroughServiceLikeCsr) {
+TEST(Service, SellKernelFormatSolvesThroughServiceLikeCsr) {
   // ServiceConfig.kernels reaches the operator cache, so a service
-  // configured with the matrix-free Ebe format must converge with the
-  // same iteration count as a Csr-configured one (the format-neutral
-  // contract; solutions differ only by the element sweep's
-  // reassociation).
+  // configured with the production SELL format (overlap on) must
+  // reproduce a Csr-configured one (overlap off) bit for bit: the two
+  // formats fold the scaling with the same roundings.
   const Scene s = make_scene();
-  index_t csr_iters = 0;
-  {
+  auto solve = [&](core::KernelOptions::Format format, bool overlap) {
     svc::ServiceConfig cfg;
     cfg.nranks = kRanks;
-    cfg.kernels.format = core::KernelOptions::Format::Csr;
+    cfg.kernels.format = format;
+    cfg.kernels.overlap = overlap;
     svc::Service service(cfg);
     service.register_operator("op", s.part, s.poly);
     auto out = service.submit(make_request(s, "op")).outcome.get();
-    ASSERT_TRUE(svc::ok(out));
-    const auto& item = std::get<svc::Completed>(out).result.items[0];
-    ASSERT_TRUE(item.converged);
-    csr_iters = item.iterations;
     service.shutdown();
-  }
-  {
-    svc::ServiceConfig cfg;
-    cfg.nranks = kRanks;
-    cfg.kernels.format = core::KernelOptions::Format::Ebe;
-    cfg.kernels.overlap = true;
-    svc::Service service(cfg);
-    service.register_operator("op", s.part, s.poly);
-    auto out = service.submit(make_request(s, "op")).outcome.get();
-    ASSERT_TRUE(svc::ok(out));
-    const auto& item = std::get<svc::Completed>(out).result.items[0];
-    EXPECT_TRUE(item.converged);
-    EXPECT_EQ(item.iterations, csr_iters);
-    service.shutdown();
-  }
+    EXPECT_TRUE(svc::ok(out));
+    return std::get<svc::Completed>(out).result;
+  };
+  const core::BatchSolveResult csr =
+      solve(core::KernelOptions::Format::Csr, false);
+  const core::BatchSolveResult sell =
+      solve(core::KernelOptions::Format::Sell, true);
+  ASSERT_TRUE(csr.items.at(0).converged);
+  EXPECT_TRUE(sell.items.at(0).converged);
+  EXPECT_EQ(sell.items.at(0).iterations, csr.items.at(0).iterations);
+  EXPECT_EQ(sell.items.at(0).history, csr.items.at(0).history);
+  EXPECT_EQ(sell.x.at(0), csr.x.at(0));
 }
 
 TEST(Service, DeflationConfigBakesCoarseStateIntoCachedOperator) {

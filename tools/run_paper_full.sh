@@ -15,7 +15,7 @@ FULL="fig10_theta_sensitivity fig15_speedup_degree fig17_speedup_size \
       fig17_machines table2_meshes table3_speedup ablate_gs_reductions \
       ablate_partition ablate_variant ablate_solver_precond \
       ablate_elements ablate_adaptive_theta ablate_reordering \
-      ablate_rdd_precond ablate_ebe svc_load"
+      ablate_rdd_precond svc_load"
 PLAIN="fig01_neumann_residual fig02_gls_residual fig03_stability \
        fig11_static_precond fig12_dynamic_precond fig13_degree_static \
        fig14_degree_dynamic table1_complexity"
@@ -80,11 +80,6 @@ for b in $FULL; do run_bench "$b" --full; done
 # The kernel sweep (CSR vs SELL vs fused) lands in BENCH_kernels.json next
 # to the table/figure JSON the other benches emit.
 run_bench micro_kernels --kernels-json=BENCH_kernels.json
-# The matrix-free sweep (Format::Ebe vs CSR vs SELL, with the
-# bytes-per-dof column) — same binary, filter out the google benchmarks
-# so they run only once, in the micro_kernels invocation above.
-run_bench_as micro_kernels_ebe micro_kernels --ebe-json=BENCH_ebe.json \
-  '--benchmark_filter=^$'
 # The two-level deflation weak-scaling sweep is itself an acceptance
 # gate: its exit code is nonzero when deflated P=2 -> P=16 iteration
 # growth exceeds 1.3x, so a coarse-space regression fails the whole run.
@@ -131,7 +126,7 @@ stamp_provenance
 echo
 echo "### summary"
 failed=0
-for b in $PLAIN $FULL micro_kernels micro_kernels_ebe deflation_scaling \
+for b in $PLAIN $FULL micro_kernels deflation_scaling \
          ext_3d_scaling hetero_scaling micro_comm_net svc_load_socket \
          svc_load_replay; do
   code=${status[$b]}
