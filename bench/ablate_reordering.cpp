@@ -41,9 +41,9 @@ Row run(const std::string& name, const sparse::CsrMatrix& k,
   }
   {
     Vector x(s.b.size(), 0.0);
-    core::GlsPrecond p(
+    core::PolyPrecond p(
         core::LinearOp::from_csr(s.a),
-        core::GlsPolynomial(core::default_theta_after_scaling(), 7));
+        core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
     row.gls_iters = core::fgmres(s.a, s.b, x, p, opts).iterations;
   }
   return row;

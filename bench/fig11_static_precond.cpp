@@ -41,12 +41,13 @@ void run_mesh(int mesh_no) {
   run(ilu);
   core::IlukPrecond ilu1(s.a, 1);
   run(ilu1);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
+  core::PolyPrecond gls(
+      core::LinearOp::from_csr(s.a),
+      core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
   run(gls);
-  core::NeumannPrecond neumann(core::LinearOp::from_csr(s.a),
-                               core::NeumannPolynomial(20, 1.0));
+  core::PolyPrecond neumann(
+      core::LinearOp::from_csr(s.a),
+      core::PolySpec{.kind = core::PolyKind::Neumann, .degree = 20});
   run(neumann);
   table.print(std::cout);
 }

@@ -49,13 +49,14 @@ void run_mesh(int mesh_no) {
     return std::make_unique<core::Ilu0Precond>(a);
   });
   run("GLS(7)", [](const sparse::CsrMatrix& a) {
-    return std::make_unique<core::GlsPrecond>(
+    return std::make_unique<core::PolyPrecond>(
         core::LinearOp::from_csr(a),
-        core::GlsPolynomial(core::default_theta_after_scaling(), 7));
+        core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
   });
   run("Neumann(20)", [](const sparse::CsrMatrix& a) {
-    return std::make_unique<core::NeumannPrecond>(
-        core::LinearOp::from_csr(a), core::NeumannPolynomial(20, 1.0));
+    return std::make_unique<core::PolyPrecond>(
+        core::LinearOp::from_csr(a),
+        core::PolySpec{.kind = core::PolyKind::Neumann, .degree = 20});
   });
   table.print(std::cout);
 }

@@ -27,9 +27,9 @@ void run_mesh(int mesh_no) {
   exp::Table table({"preconditioner", "iterations", "total mat-vecs",
                     "final relres"});
   for (int m : {1, 3, 7, 10, 20}) {
-    core::GlsPrecond p(
+    core::PolyPrecond p(
         core::LinearOp::from_csr(s.a),
-        core::GlsPolynomial(core::default_theta_after_scaling(), m));
+        core::PolySpec{.kind = core::PolyKind::Gls, .degree = m});
     Vector x(s.b.size(), 0.0);
     const core::SolveReport res = core::fgmres(s.a, s.b, x, p, opts);
     table.add_row({p.name(), exp::Table::integer(res.iterations),

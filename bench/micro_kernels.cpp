@@ -22,7 +22,7 @@
 #include "core/edd_solver.hpp"
 #include "core/gls_poly.hpp"
 #include "core/kernels.hpp"
-#include "core/neumann.hpp"
+#include "core/precond.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
@@ -59,13 +59,14 @@ BENCHMARK(BM_Spmv);
 
 void BM_GlsApply(benchmark::State& state) {
   const sparse::CsrMatrix& a = cantilever().stiffness;
-  const core::LinearOp op = core::LinearOp::from_csr(a);
-  const core::GlsPolynomial poly(core::default_theta_after_scaling(),
-                                 static_cast<int>(state.range(0)));
+  core::PolyPrecond poly(
+      core::LinearOp::from_csr(a),
+      core::PolySpec{.kind = core::PolyKind::Gls,
+                     .degree = static_cast<int>(state.range(0))});
   Vector v(static_cast<std::size_t>(a.rows()), 1.0);
   Vector z(v.size());
   for (auto _ : state) {
-    poly.apply(op, v, z);
+    poly.apply(v, z);
     benchmark::DoNotOptimize(z.data());
   }
 }
@@ -73,12 +74,14 @@ BENCHMARK(BM_GlsApply)->Arg(3)->Arg(7)->Arg(10);
 
 void BM_NeumannApply(benchmark::State& state) {
   const sparse::CsrMatrix& a = cantilever().stiffness;
-  const core::LinearOp op = core::LinearOp::from_csr(a);
-  const core::NeumannPolynomial poly(static_cast<int>(state.range(0)), 1.0);
+  core::PolyPrecond poly(
+      core::LinearOp::from_csr(a),
+      core::PolySpec{.kind = core::PolyKind::Neumann,
+                     .degree = static_cast<int>(state.range(0))});
   Vector v(static_cast<std::size_t>(a.rows()), 1.0);
   Vector z(v.size());
   for (auto _ : state) {
-    poly.apply(op, v, z);
+    poly.apply(v, z);
     benchmark::DoNotOptimize(z.data());
   }
 }
@@ -162,16 +165,17 @@ void BM_GlsApplyFusedSell(benchmark::State& state) {
   core::KernelOptions ko;
   ko.overlap = false;
   const core::RankKernel kern(a, std::move(d), {}, ko);
-  const core::LinearOp op(
-      a.rows(), [&kern](std::span<const real_t> x, std::span<real_t> y) {
-        kern.apply(x, y);
-      });
-  const core::GlsPolynomial poly(core::default_theta_after_scaling(),
-                                 static_cast<int>(state.range(0)));
+  core::PolyPrecond poly(
+      core::LinearOp(a.rows(),
+                     [&kern](std::span<const real_t> x, std::span<real_t> y) {
+                       kern.apply(x, y);
+                     }),
+      core::PolySpec{.kind = core::PolyKind::Gls,
+                     .degree = static_cast<int>(state.range(0))});
   Vector v(static_cast<std::size_t>(a.rows()), 1.0);
   Vector z(v.size());
   for (auto _ : state) {
-    poly.apply(op, v, z);
+    poly.apply(v, z);
     benchmark::DoNotOptimize(z.data());
   }
 }
@@ -268,16 +272,17 @@ KernelSweepRow sweep_mesh(int mesh_number, int degree) {
   row.spmv_sell = spmv[1].best;
   row.spmv_fused = spmv[2].best;
 
-  const core::GlsPolynomial poly(core::default_theta_after_scaling(), degree);
-  const core::LinearOp op_csr = core::LinearOp::from_csr(scaled);
-  const core::LinearOp op_fused(
-      k.rows(), [&fused](std::span<const real_t> in, std::span<real_t> out) {
-        fused.apply(in, out);
-      });
+  const core::PolySpec gls{.kind = core::PolyKind::Gls, .degree = degree};
+  core::PolyPrecond poly_csr(core::LinearOp::from_csr(scaled), gls);
+  core::PolyPrecond poly_fused(
+      core::LinearOp(k.rows(),
+                     [&fused](std::span<const real_t> in,
+                              std::span<real_t> out) { fused.apply(in, out); }),
+      gls);
   Vector z(x.size());
   TimedKernel pk[2];
-  pk[0].fn = [&] { poly.apply(op_csr, x, z); };
-  pk[1].fn = [&] { poly.apply(op_fused, x, z); };
+  pk[0].fn = [&] { poly_csr.apply(x, z); };
+  pk[1].fn = [&] { poly_fused.apply(x, z); };
   time_kernels(pk);
   row.poly_csr = pk[0].best;
   row.poly_fused = pk[1].best;

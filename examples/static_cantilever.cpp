@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   }
   for (int m : {3, 7, 10}) {
     Vector x(s.b.size(), 0.0);
-    core::GlsPrecond p(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           m));
+    core::PolyPrecond p(
+        core::LinearOp::from_csr(s.a),
+        core::PolySpec{.kind = core::PolyKind::Gls, .degree = m});
     seq.add_row({p.name(), exp::Table::integer(
                                core::fgmres(s.a, s.b, x, p, opts).iterations)});
   }

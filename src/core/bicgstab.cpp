@@ -1,12 +1,89 @@
 #include "core/bicgstab.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 
 #include "common/error.hpp"
 #include "core/edd_kernels.hpp"
 #include "la/vector_ops.hpp"
 
 namespace pfem::core {
+
+namespace {
+
+/// The vector operations one BiCGSTAB form supplies: the operator, the
+/// preconditioner, their inner product and norm, vector-work accounting
+/// and the per-iteration report.
+struct BicgstabOps {
+  std::function<void(const Vector&, Vector&)> matvec, precond;
+  std::function<real_t(const Vector&, const Vector&)> dot;
+  std::function<real_t(const Vector&)> norm;
+  std::function<void(std::uint64_t flops, std::uint64_t updates)> charge;
+  std::function<void(index_t iterations, real_t relres)> record;
+};
+
+/// The BiCGSTAB iteration of both forms: from x and its residual r
+/// (‖r‖ = beta0 > 0) until the recursive residual meets opts.tol or
+/// max_iters is reached.  A breakdown — ⟨r̂,r⟩ ≈ 0, ⟨r̂,v⟩ ≈ 0, ‖t‖ = 0 or
+/// ω ≈ 0 — stops it and returns true.  Either way the caller's final
+/// true residual decides convergence.
+bool bicgstab_iterate(const BicgstabOps& ops, std::span<real_t> x, Vector& r,
+                      real_t beta0, const SolveOptions& opts,
+                      index_t& iterations) {
+  const std::size_t n = r.size();
+  Vector rhat(r), p(n, 0.0), v(n, 0.0), phat(n), shat(n), s(n), t(n);
+  real_t rho = 1.0, alpha = 1.0, omega = 1.0;
+  const real_t tiny = 1e-300 * beta0 * beta0;
+  while (iterations < opts.max_iters) {
+    const real_t rho_new = ops.dot(rhat, r);
+    if (!(std::abs(rho_new) > tiny)) return true;  // no further direction
+    const real_t beta = (rho_new / rho) * (alpha / omega);
+    rho = rho_new;
+    for (std::size_t i = 0; i < n; ++i)
+      p[i] = r[i] + beta * (p[i] - omega * v[i]);
+    ops.charge(4 * n, 1);
+
+    ops.precond(p, phat);
+    ops.matvec(phat, v);
+    const real_t rv = ops.dot(rhat, v);
+    if (!(std::abs(rv) > tiny)) return true;  // alpha is undefined
+    alpha = rho / rv;
+    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
+    ops.charge(2 * n, 0);
+    ++iterations;
+
+    const real_t s_relres = ops.norm(s) / beta0;
+    if (s_relres <= opts.tol) {
+      la::axpy(alpha, phat, x);
+      ops.record(iterations, s_relres);
+      return false;
+    }
+
+    ops.precond(s, shat);
+    ops.matvec(shat, t);
+    const real_t tt = ops.dot(t, t);
+    if (!(tt > 0.0)) {
+      // t = 0: no stabilizing step; keep the BiCG half step (residual s).
+      la::axpy(alpha, phat, x);
+      ops.record(iterations, s_relres);
+      return true;
+    }
+    omega = ops.dot(t, s) / tt;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += alpha * phat[i] + omega * shat[i];
+      r[i] = s[i] - omega * t[i];
+    }
+    ops.charge(6 * n, 2);
+    const real_t relres = ops.norm(r) / beta0;
+    ops.record(iterations, relres);
+    if (relres <= opts.tol) return false;
+    if (!(std::abs(omega) > 1e-300)) return true;  // next beta undefined
+  }
+  return false;
+}
+
+}  // namespace
 
 SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
                      std::span<real_t> x, Preconditioner& precond,
@@ -24,7 +101,7 @@ SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
     return result;
   }
 
-  Vector r(n), rhat(n), p(n, 0.0), v(n, 0.0), phat(n), shat(n), s(n), t(n);
+  Vector r(n);
   a.apply(x, r);
   la::sub(b, r, r);
   const real_t beta0 = la::nrm2(r);
@@ -32,46 +109,17 @@ SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
     result.converged = true;
     return result;
   }
-  la::copy(r, rhat);
-  real_t rho = 1.0, alpha = 1.0, omega = 1.0;
-
-  while (result.iterations < opts.max_iters) {
-    const real_t rho_new = la::dot(rhat, r);
-    if (!(std::abs(rho_new) > 1e-300 * beta0 * beta0)) {
-      result.breakdown = true;  // <rhat, r> ~ 0: no further direction
-      break;
-    }
-    const real_t beta = (rho_new / rho) * (alpha / omega);
-    rho = rho_new;
-    for (std::size_t i = 0; i < n; ++i)
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-
-    precond.apply(p, phat);
-    a.apply(phat, v);
-    alpha = rho / la::dot(rhat, v);
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    ++result.iterations;
-
-    if (la::nrm2(s) / beta0 <= opts.tol) {
-      la::axpy(alpha, phat, x);
-      result.history.push_back(la::nrm2(s) / beta0);
-      break;
-    }
-
-    precond.apply(s, shat);
-    a.apply(shat, t);
-    const real_t tt = la::dot(t, t);
-    PFEM_CHECK_MSG(tt > 0.0, "BiCGSTAB breakdown: ||t|| = 0");
-    omega = la::dot(t, s) / tt;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * phat[i] + omega * shat[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    const real_t relres = la::nrm2(r) / beta0;
-    result.history.push_back(relres);
-    if (relres <= opts.tol) break;
-    PFEM_CHECK_MSG(std::abs(omega) > 1e-300, "BiCGSTAB breakdown: omega ~ 0");
-  }
+  const BicgstabOps ops{
+      .matvec = [&](const Vector& in, Vector& out) { a.apply(in, out); },
+      .precond = [&](const Vector& in, Vector& out) { precond.apply(in, out); },
+      .dot = [](const Vector& u, const Vector& w) { return la::dot(u, w); },
+      .norm = [](const Vector& u) { return la::nrm2(u); },
+      .charge = [](std::uint64_t, std::uint64_t) {},
+      .record = [&](index_t, real_t relres) {
+        result.history.push_back(relres);
+      }};
+  result.breakdown =
+      bicgstab_iterate(ops, x, r, beta0, opts, result.iterations);
 
   a.apply(x, r);
   la::sub(b, r, r);
@@ -117,72 +165,47 @@ void edd_bicgstab_rank(const EddPartition& part, const EddOperatorState& op,
   };
 
   // RHS in global format once and for all: b = ⊕Σ D̂ (f_loc / mult).
-  Vector b_glob(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    b_glob[l] = d[l] * (f_global[static_cast<std::size_t>(
-                            sub.local_to_global[l])] /
-                        static_cast<real_t>(sub.multiplicity[l]));
+  Vector b_glob = detail::scaled_local_rhs(sub, d, f_global);
   r.exchange(b_glob);
 
   // All vectors in global distributed format.
-  Vector x(nl, 0.0), rr(nl), rhat(nl), p(nl, 0.0), v(nl, 0.0);
-  Vector phat(nl), shat(nl), s(nl), t(nl);
+  Vector x(nl, 0.0), rr(nl);
   matvec(x, rr);
   for (std::size_t l = 0; l < nl; ++l) rr[l] = b_glob[l] - rr[l];
   const real_t beta0 = sqrt_nonneg(r.norm2_sq_global(rr));
 
+  // Every scalar the iteration branches on is allreduced, so all ranks
+  // stop together.  Rank 0's report grows per iteration, so a comm
+  // failure still leaves a truthful partial report.
+  const BicgstabOps ops{
+      .matvec = matvec,
+      .precond = [&](const Vector& in, Vector& out) {
+        poly.apply(r, a, in, out);
+      },
+      .dot = [&](const Vector& p, const Vector& q) { return r.dot_gg(p, q); },
+      .norm = [&](const Vector& p) {
+        return sqrt_nonneg(r.norm2_sq_global(p));
+      },
+      .charge =
+          [&](std::uint64_t flops, std::uint64_t updates) {
+            r.counters().flops += flops;
+            r.counters().vector_updates += updates;
+          },
+      .record =
+          [&](index_t iterations, real_t relres) {
+            if (rank != 0) return;
+            report.history.push_back(relres);
+            report.iterations = iterations;
+          }};
   index_t iterations = 0;
-  std::vector<real_t> history;
-  if (beta0 > 0.0) {
-    la::copy(rr, rhat);
-    real_t rho = 1.0, alpha = 1.0, omega = 1.0;
-    while (iterations < opts.max_iters) {
-      const real_t rho_new = r.dot_gg(rhat, rr);
-      PFEM_CHECK_MSG(std::abs(rho_new) > 1e-300 * beta0 * beta0,
-                     "EDD-BiCGSTAB breakdown: <rhat, r> ~ 0");
-      const real_t beta = (rho_new / rho) * (alpha / omega);
-      rho = rho_new;
-      for (std::size_t l = 0; l < nl; ++l)
-        p[l] = rr[l] + beta * (p[l] - omega * v[l]);
-      r.counters().flops += 4 * nl;
-      r.counters().vector_updates += 1;
-
-      poly.apply(r, a, p, phat);
-      matvec(phat, v);
-      alpha = rho / r.dot_gg(rhat, v);
-      for (std::size_t l = 0; l < nl; ++l) s[l] = rr[l] - alpha * v[l];
-      r.counters().flops += 2 * nl;
-      ++iterations;
-
-      const real_t s_relres = sqrt_nonneg(r.norm2_sq_global(s)) / beta0;
-      if (s_relres <= opts.tol) {
-        la::axpy(alpha, phat, x);
-        history.push_back(s_relres);
-        break;
-      }
-
-      poly.apply(r, a, s, shat);
-      matvec(shat, t);
-      const real_t tt = r.norm2_sq_global(t);
-      PFEM_CHECK_MSG(tt > 0.0, "EDD-BiCGSTAB breakdown: ||t|| = 0");
-      omega = r.dot_gg(t, s) / tt;
-      for (std::size_t l = 0; l < nl; ++l) {
-        x[l] += alpha * phat[l] + omega * shat[l];
-        rr[l] = s[l] - omega * t[l];
-      }
-      r.counters().flops += 6 * nl;
-      r.counters().vector_updates += 2;
-      const real_t relres = sqrt_nonneg(r.norm2_sq_global(rr)) / beta0;
-      history.push_back(relres);
-      if (relres <= opts.tol) break;
-    }
-  }
+  const bool breakdown =
+      beta0 > 0.0 && bicgstab_iterate(ops, x, rr, beta0, opts, iterations);
 
   // Final true residual, physical solution.
   matvec(x, rr);
   for (std::size_t l = 0; l < nl; ++l) rr[l] = b_glob[l] - rr[l];
   const real_t final_relres =
-      beta0 > 0.0 ? sqrt_nonneg(r.norm2_sq_global(rr)) / beta0 : 0.0;
+      relative_residual(sqrt_nonneg(r.norm2_sq_global(rr)), beta0);
   u.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * x[l];
 
@@ -191,8 +214,8 @@ void edd_bicgstab_rank(const EddPartition& part, const EddOperatorState& op,
     // residual decides it.
     report.final_relres = final_relres;
     report.converged = final_relres <= opts.tol;
+    report.breakdown = breakdown;
     report.iterations = iterations;
-    report.history = std::move(history);
   }
 }
 
@@ -203,6 +226,7 @@ DistSolve solve_edd_bicgstab(
     const PolySpec& spec, const SolveOptions& opts,
     const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
+  require_finite_rhs(f_global, "solve_edd_bicgstab");
   PFEM_CHECK_MSG(opts.max_iters >= 1 && opts.tol > 0.0,
                  "solve_edd_bicgstab: need max_iters >= 1 and tol > 0");
   return detail::solve_one_shot(

@@ -94,12 +94,7 @@ void edd_cg_rank(const EddPartition& part, const EddOperatorState& op,
   const RankKernel& a = op.kern[static_cast<std::size_t>(s)];
   DistPoly poly(op, nl, 1, /*local=*/false);
 
-  // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
-  Vector b_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    b_loc[l] = d[l] * (f_global[static_cast<std::size_t>(
-                           sub.local_to_global[l])] /
-                       static_cast<real_t>(sub.multiplicity[l]));
+  const Vector b_loc = detail::scaled_local_rhs(sub, d, f_global);
 
   // ---- PCG.  x, p, z in global format; residual kept in both formats.
   Vector x(nl, 0.0), r_loc(nl), r_glob(nl), z(nl), p(nl), ap_loc(nl);
@@ -109,7 +104,6 @@ void edd_cg_rank(const EddPartition& part, const EddOperatorState& op,
   const real_t beta0 = sqrt_nonneg(r.dot_lg(r_loc, r_glob));
 
   index_t iterations = 0;
-  std::vector<real_t> history;
   if (beta0 > 0.0) {
     poly.apply(r, a, r_glob, z);  // z = P(A) r  (m exchanges)
     la::copy(z, p);
@@ -131,7 +125,10 @@ void edd_cg_rank(const EddPartition& part, const EddOperatorState& op,
       ++iterations;
 
       const real_t relres = sqrt_nonneg(r.dot_lg(r_loc, r_glob)) / beta0;
-      history.push_back(relres);
+      if (s == 0) {  // grows per iteration: a truthful partial report
+        report.history.push_back(relres);
+        report.iterations = iterations;
+      }
       if (relres <= opts.tol) break;
 
       poly.apply(r, a, r_glob, z);  // m exchanges
@@ -160,10 +157,9 @@ void edd_cg_rank(const EddPartition& part, const EddOperatorState& op,
     // The recursive residual only proposes convergence; the final TRUE
     // residual decides it (a trivial RHS reports 0, which always meets a
     // positive tol).
-    report.final_relres = beta0 > 0.0 ? final_res / beta0 : 0.0;
+    report.final_relres = relative_residual(final_res, beta0);
     report.converged = report.final_relres <= opts.tol;
     report.iterations = iterations;
-    report.history = std::move(history);
   }
 }
 
@@ -174,6 +170,7 @@ DistSolve solve_edd_cg(const EddPartition& part,
                        const SolveOptions& opts,
                        const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
+  require_finite_rhs(f_global, "solve_edd_cg");
   PFEM_CHECK_MSG(opts.max_iters >= 1 && opts.tol > 0.0,
                  "solve_edd_cg: max_iters must be >= 1 and tol > 0");
   return detail::solve_one_shot(

@@ -22,14 +22,6 @@ using detail::DistPoly;
 using detail::EddRank;
 using detail::sqrt_nonneg;
 
-/// Flop estimate of a GLS build: the Stieltjes three-term recursion and
-/// the mu fit each sweep every quadrature node per basis degree (~10
-/// flops per node-degree pair, counting the alpha/beta inner products).
-std::uint64_t gls_build_flops(const GlsPolynomial& g) {
-  return 10ull * static_cast<std::uint64_t>(g.degree() + 1) *
-         static_cast<std::uint64_t>(g.basis().num_nodes());
-}
-
 /// Shared output of a solve, written per rank / by the local leader.
 struct BatchShared {
   std::vector<std::vector<Vector>> sol;  ///< [rhs][rank] u in global format
@@ -100,12 +92,9 @@ void rank_solve(const EddPartition& part, const EddOperatorState& op,
            static_cast<std::uint32_t>(nb));
 
   // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
-  std::vector<Vector> b_loc(nb, Vector(nl));
-  for (std::size_t b = 0; b < nb; ++b)
-    for (std::size_t l = 0; l < nl; ++l)
-      b_loc[b][l] =
-          d[l] * (rhs[b][static_cast<std::size_t>(sub.local_to_global[l])] /
-                  static_cast<real_t>(sub.multiplicity[l]));
+  std::vector<Vector> b_loc;
+  for (const Vector& f : rhs)
+    b_loc.push_back(detail::scaled_local_rhs(sub, d, f));
   r.counters().flops += nb * nl;
 
   // Per-RHS solver state.
@@ -630,7 +619,7 @@ void rank_solve(const EddPartition& part, const EddOperatorState& op,
     for (std::size_t b = 0; b < nb; ++b) {
       BatchItemResult& item = out.items[b];
       const real_t final_res = sqrt_nonneg(red[b]);
-      item.final_relres = beta0[b] > 0.0 ? final_res / beta0[b] : 0.0;
+      item.final_relres = relative_residual(final_res, beta0[b]);
       // Convergence is claimed on the final TRUE relative residual alone
       // (a trivial RHS reports 0, which always meets a positive tol).
       item.converged = item.final_relres <= opts.tol;
@@ -673,9 +662,13 @@ BatchSolveResult run_edd_fgmres(par::Team& team, const EddPartition& part,
                      op.d.size() == part.subs.size(),
                  "EDD-FGMRES: operator state was not built for this "
                  "partition (use build_edd_operator)");
-  validate_poly_spec(op.poly);
-  for (const Vector& f : rhs)
+  PFEM_CHECK_MSG(op.poly != nullptr,
+                 "EDD-FGMRES: operator state without a built polynomial "
+                 "(use build_edd_operator)");
+  for (const Vector& f : rhs) {
     PFEM_CHECK(f.size() == static_cast<std::size_t>(part.n_global));
+    require_finite_rhs(f, "EDD-FGMRES");
+  }
   const auto p = static_cast<std::size_t>(part.nparts());
   const std::size_t nb = rhs.size();
   if (opts.recycle.enabled && opts.recycle.in != nullptr) {
@@ -767,26 +760,71 @@ BatchSolveResult run_edd_fgmres(par::Team& team, const EddPartition& part,
 DistSolve solve_one_shot(const EddPartition& part, const PolySpec& spec,
                          const SolveOptions& opts,
                          const std::vector<sparse::CsrMatrix>* local_matrices,
-                         const RankSolveFn& rank_solve) {
+                         const DeflationOptions& deflation,
+                         const OneShotRun& run) {
   WallTimer timer;
-  par::Team team(part.nparts());
-  const EddOperatorState op =
-      build_edd_operator(team, part, spec, local_matrices, nullptr,
-                         opts.kernels);
+  const int p = part.nparts();
+  par::Team team(p);
+  if (opts.observe.fault_injector != nullptr)
+    team.set_fault_injector(opts.observe.fault_injector);
+  if (opts.observe.comm_timeout_seconds > 0.0)
+    team.set_comm_timeout(opts.observe.comm_timeout_seconds);
+  // The trace (if any) spans both jobs, like the counters below.
+  std::shared_ptr<obs::Trace> trace;
+  if (opts.observe.trace)
+    trace = std::make_shared<obs::Trace>(p, opts.observe.ring_capacity);
+
   DistSolve result;
-  std::vector<Vector> sol(part.subs.size());
-  const std::vector<par::PerfCounters> counters =
-      team.run([&](par::Comm& comm) {
-        rank_solve(comm, op, sol[static_cast<std::size_t>(comm.rank())],
-                   result);
-      });
+  result.trace = trace;
+  EddOperatorState op;
+  try {
+    op = build_edd_operator(team, part, spec, local_matrices, trace.get(),
+                            opts.kernels, deflation);
+  } catch (const par::CommError& e) {
+    // The setup exchange (or the coarse allreduce) died on the wire:
+    // every rank has joined, so this is a typed failed report with no
+    // history, never an escaping exception.
+    result.comm_error = e.what();
+    result.wall_seconds = timer.seconds();
+    return result;
+  }
+  run(team, op, trace.get(), result);
   result.wall_seconds = timer.seconds();
-  result.x = partition::edd_gather_global(part, sol);
   result.setup_counters = op.setup_counters;
-  result.rank_counters = op.setup_counters;
-  for (std::size_t s = 0; s < counters.size(); ++s)
-    result.rank_counters[s] += counters[s];
+  if (result.comm_failed()) {
+    result.converged = false;
+    return result;  // partial report, no x
+  }
+  // rank_counters cover the whole call: the setup slice plus the solve.
+  std::vector<par::PerfCounters> solve = std::move(result.rank_counters);
+  result.rank_counters = std::move(op.setup_counters);
+  for (std::size_t s = 0; s < result.rank_counters.size(); ++s)
+    result.rank_counters[s] += solve[s];
   return result;
+}
+
+DistSolve solve_one_shot(const EddPartition& part, const PolySpec& spec,
+                         const SolveOptions& opts,
+                         const std::vector<sparse::CsrMatrix>* local_matrices,
+                         const RankSolveFn& rank_solve) {
+  return solve_one_shot(
+      part, spec, opts, local_matrices, DeflationOptions{},
+      [&](par::Team& team, const EddOperatorState& op, obs::Trace* trace,
+          DistSolve& result) {
+        std::vector<Vector> sol(part.subs.size());
+        try {
+          result.rank_counters = team.run(
+              [&](par::Comm& comm) {
+                rank_solve(comm, op,
+                           sol[static_cast<std::size_t>(comm.rank())], result);
+              },
+              trace);
+        } catch (const par::CommError& e) {
+          result.comm_error = e.what();
+          return;
+        }
+        result.x = partition::edd_gather_global(part, sol);
+      });
 }
 
 }  // namespace detail
@@ -795,7 +833,12 @@ EddOperatorState build_edd_operator(
     par::Team& team, const partition::EddPartition& part, const PolySpec& spec,
     const std::vector<sparse::CsrMatrix>* local_matrices, obs::Trace* trace,
     const KernelOptions& kernels, const DeflationOptions& deflation) {
-  validate_poly_spec(spec);
+  WallTimer timer;
+  // The polynomial recursion data depends only on the spec (the paper
+  // builds it redundantly per rank with zero communication); one shared
+  // read-only build serves every rank of every later solve.  Building it
+  // first validates the spec on the calling thread.
+  auto poly = std::make_shared<const Polynomial>(spec);
   // Fail a mismatched coarse-space configuration HERE, on the calling
   // thread, as a typed BadOperatorError — not as a per-rank surprise
   // halfway through the team's build.
@@ -807,9 +850,8 @@ EddOperatorState build_edd_operator(
     PFEM_CHECK(local_matrices->size() == part.subs.size());
   const auto p = static_cast<std::size_t>(part.nparts());
 
-  WallTimer timer;
   EddOperatorState op;
-  op.poly = spec;
+  op.poly = std::move(poly);
   op.kernels = kernels;
   op.deflation = deflation;
   op.d.resize(p);
@@ -877,20 +919,38 @@ EddOperatorState build_edd_operator(
     for (auto& c : op.setup_counters) c.flops += 2 * nc * nc * nc / 3;
   }
 
-  // The polynomial recursion data depends only on the spec (the paper
-  // builds it redundantly per rank with zero communication); one shared
-  // read-only build serves every rank of every later solve.
-  if (spec.kind == PolyKind::Gls) {
-    op.gls = std::make_shared<const GlsPolynomial>(spec.theta, spec.degree);
-    const std::uint64_t build = gls_build_flops(*op.gls);
-    for (auto& c : op.setup_counters) c.flops += build;
-  } else if (spec.kind == PolyKind::Chebyshev) {
-    op.cheb = std::make_shared<const ChebyshevPolynomial>(spec.theta.front(),
-                                                          spec.degree);
-  }
+  // Each rank is charged the polynomial build it would run redundantly.
+  for (auto& c : op.setup_counters) c.flops += op.poly->build_flops();
   op.setup_seconds = timer.seconds();
   for (auto& c : op.setup_counters) c.total_seconds = op.setup_seconds;
   return op;
+}
+
+DistSolve solve_edd(const partition::EddPartition& part,
+                    std::span<const real_t> f_global, const PolySpec& spec,
+                    const SolveOptions& opts, EddVariant variant,
+                    const std::vector<sparse::CsrMatrix>* local_matrices) {
+  PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
+  require_finite_rhs(f_global, "solve_edd");
+  PFEM_CHECK_MSG(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0,
+                 "solve_edd: restart/max_iters must be >= 1 and tol > 0");
+  // One-shot: a fresh team, one operator build, one width-1 run of the
+  // EDD-FGMRES engine in the caller's variant and reduction discipline.
+  const std::vector<Vector> rhs{Vector(f_global.begin(), f_global.end())};
+  return detail::solve_one_shot(
+      part, spec, opts, local_matrices, opts.deflation,
+      [&](par::Team& team, const EddOperatorState& op, obs::Trace* trace,
+          DistSolve& result) {
+        BatchSolveResult run =
+            detail::run_edd_fgmres(team, part, op, rhs, opts, variant,
+                                   opts.batched_reductions, trace);
+        static_cast<SolveReport&>(result) = std::move(run.items.front());
+        if (run.comm_failed()) return;  // partial report, no x
+        result.x = std::move(run.x.front());
+        if (!run.recycled.empty())
+          result.recycled = std::move(run.recycled.front());
+        result.rank_counters = std::move(run.rank_counters);
+      });
 }
 
 BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,

@@ -26,11 +26,10 @@
 #include <span>
 #include <vector>
 
-#include "core/chebyshev.hpp"
 #include "core/deflation.hpp"
 #include "core/edd_solver.hpp"
 #include "core/kernels.hpp"
-#include "core/gls_poly.hpp"
+#include "core/polynomial.hpp"
 #include "par/comm.hpp"
 
 namespace pfem::core {
@@ -39,17 +38,15 @@ namespace pfem::core {
 /// depends on (matrix, PolySpec, kernel and deflation options).  Build
 /// once, solve many.
 struct EddOperatorState {
-  PolySpec poly;                   ///< the spec the preconditioner was built for
   std::vector<Vector> d;             ///< per-rank scaling 1/sqrt(d_i) (Eq. 43)
   KernelOptions kernels;             ///< format/overlap the kernels were built for
   /// Per-rank apply kernels for Â = D̂ K̂ D̂ (Eq. 44): SELL-C-σ or
   /// scalar CSR blocks, each holding its own scaled copy of the entries,
   /// interior/interface split per `kernels`.
   std::vector<RankKernel> kern;
-  /// Prebuilt polynomial recursion data (shared read-only by all ranks;
-  /// null for kinds that need none).
-  std::shared_ptr<const GlsPolynomial> gls;
-  std::shared_ptr<const ChebyshevPolynomial> cheb;
+  /// The built polynomial preconditioner (shared read-only by all ranks;
+  /// its spec() is the PolySpec the operator was built for).
+  std::shared_ptr<const Polynomial> poly;
   /// Deflation knobs the operator was built with, and the replicated
   /// factorized coarse operator E = ZᵀÂZ (null when deflation is off).
   /// Cached alongside the operator — a service cache hit reuses the

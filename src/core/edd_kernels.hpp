@@ -29,8 +29,11 @@ inline constexpr int kExchangeTag = 0;
 /// sqrt clamped at zero: distributed ⟨x_loc, x_glob⟩ equals ‖x‖² only in
 /// exact arithmetic — near convergence the cross-format partial sums can
 /// round to a tiny negative value.  Callers must treat an exactly-zero
-/// result as a zero vector (happy breakdown), never divide by it.
-inline real_t sqrt_nonneg(real_t v) { return v > 0.0 ? std::sqrt(v) : 0.0; }
+/// result as a zero vector (happy breakdown), never divide by it.  A NaN
+/// propagates: it must never read as a zero residual.
+inline real_t sqrt_nonneg(real_t v) {
+  return v > 0.0 || std::isnan(v) ? std::sqrt(v) : 0.0;
+}
 
 /// Rank-local helper: exchange, distributed inner products, counting.
 class EddRank {
@@ -51,7 +54,6 @@ class EddRank {
       max_shared = std::max(max_shared, nb.shared_local_dofs.size());
     send_buf_.reserve(max_shared * max_batch_);
     recv_buf_.reserve(max_shared * max_batch_);
-    buf_.reserve(sub_.interface_local_dofs.size());
     fused_buf_.reserve(sub_.interface_local_dofs.size() * max_batch_);
   }
 
@@ -70,87 +72,50 @@ class EddRank {
   /// more subdomains meet at a point.  Without this, the per-rank
   /// "global format" copies drift apart by ulps — harmless for restarted
   /// FGMRES but fatal for CG's recursively updated residual.
-  void exchange(std::span<real_t> v) {
-    PFEM_DEBUG_CHECK(v.size() == nl_);
-    // The "exchange" span and neighbor_exchanges count the same logical
-    // event, so a trace is an exact cross-check of the counters (and of
-    // the paper's Table 1 per-iteration exchange counts).
-    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
-    counters().neighbor_exchanges += 1;
-    post_sends(v);
-    stash_and_zero(v);
-    fold(v);
-  }
-
-  /// First half of exchange(): post the sends and stash-and-zero the
-  /// interface entries of v, then return with the messages in flight.
-  /// The caller may do any work that neither reads nor writes v's
-  /// interface entries — in particular the interior-row block of the
-  /// split operator — before calling exchange_finish(v).  The
-  /// neighbor_exchanges counter is charged here (the exchange logically
-  /// begins now); the matching "exchange" span is emitted by the finish
-  /// half, so a trace still carries exactly one per logical exchange.
-  void exchange_start(std::span<real_t> v) {
-    PFEM_DEBUG_CHECK(v.size() == nl_);
-    counters().neighbor_exchanges += 1;
-    post_sends(v);
-    stash_and_zero(v);
-  }
-
-  /// Second half: drain the receives and fold all contributions in the
-  /// same ascending-rank order as the monolithic exchange — the result
-  /// is bit-identical regardless of how much compute ran in between.
-  void exchange_finish(std::span<real_t> v) {
-    PFEM_DEBUG_CHECK(v.size() == nl_);
-    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
-    fold(v);
+  void exchange(Vector& v) {
+    Vector* const vs[1] = {&v};
+    exchange_many(vs);
   }
 
   /// Fused form of exchange(): one ⊕Σ round for `vs.size()` vectors at
   /// once — each neighbor gets ONE message carrying every vector's
   /// shared-dof section, so the per-message latency (the cost model's
   /// alpha term) is amortized across the batch.  Counted as one logical
-  /// neighbor exchange.  The per-dof fold order is identical to
-  /// exchange()'s (ascending sharer rank), so each vector's result is
-  /// bit-identical to what a standalone exchange would produce.
+  /// neighbor exchange.  The per-dof fold order is the same for every
+  /// vector, so each result is bit-identical to a standalone exchange.
   void exchange_many(std::span<Vector* const> vs) {
-    const std::size_t nb = vs.size();
-    if (nb == 0) return;
-    if (nb == 1) {
-      exchange(*vs[0]);
-      return;
-    }
+    if (vs.empty()) return;
+    // The "exchange" span and neighbor_exchanges count the same logical
+    // event, so a trace is an exact cross-check of the counters (and of
+    // the paper's Table 1 per-iteration exchange counts).
     OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange,
-             static_cast<std::uint32_t>(nb));
-    counters().neighbor_exchanges += 1;
-    post_sends_many(vs);
-    stash_and_zero_many(vs);
+             static_cast<std::uint32_t>(vs.size()));
+    exchange_many_start(vs);
     fold_many(vs);
   }
 
-  /// Split halves of exchange_many(), same contract as exchange_start/
-  /// exchange_finish but for a fused batch.
+  /// First half of exchange_many(): post the sends and stash-and-zero the
+  /// interface entries of every vector, then return with the messages in
+  /// flight.  The caller may do any work that neither reads nor writes
+  /// the interface entries — in particular the interior-row block of the
+  /// split operator — before calling exchange_many_finish(vs).  The
+  /// neighbor_exchanges counter is charged here (the exchange logically
+  /// begins now); the matching "exchange" span is emitted by the finish
+  /// half, so a trace still carries exactly one per logical exchange.
   void exchange_many_start(std::span<Vector* const> vs) {
-    const std::size_t nb = vs.size();
-    if (nb == 0) return;
-    if (nb == 1) {
-      exchange_start(*vs[0]);
-      return;
-    }
+    if (vs.empty()) return;
     counters().neighbor_exchanges += 1;
     post_sends_many(vs);
     stash_and_zero_many(vs);
   }
 
+  /// Second half: drain the receives and fold all contributions in the
+  /// same ascending-rank order as the monolithic exchange — the result
+  /// is bit-identical regardless of how much compute ran in between.
   void exchange_many_finish(std::span<Vector* const> vs) {
-    const std::size_t nb = vs.size();
-    if (nb == 0) return;
-    if (nb == 1) {
-      exchange_finish(*vs[0]);
-      return;
-    }
+    if (vs.empty()) return;
     OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange,
-             static_cast<std::uint32_t>(nb));
+             static_cast<std::uint32_t>(vs.size()));
     fold_many(vs);
   }
 
@@ -213,55 +178,6 @@ class EddRank {
   // The exchange decomposed into its three phases, shared by the
   // monolithic and the split form so the message pattern, the stash/fold
   // arithmetic and the deterministic ordering cannot drift apart.
-
-  void post_sends(std::span<const real_t> v) {
-    for (const auto& nb : sub_.neighbors) {
-      const std::size_t ns = nb.shared_local_dofs.size();
-      PFEM_DEBUG_CHECK(ns <= send_buf_.capacity());
-      send_buf_.resize(ns);
-      for (std::size_t k = 0; k < ns; ++k)
-        send_buf_[k] = v[static_cast<std::size_t>(nb.shared_local_dofs[k])];
-      comm_.exchange_start(nb.rank, kExchangeTag, send_buf_);
-    }
-  }
-
-  /// Stash own interface contributions into buf_ and zero them in v, so
-  /// the folds (own and neighbors') can land in pure ascending order.
-  void stash_and_zero(std::span<real_t> v) {
-    buf_.resize(sub_.interface_local_dofs.size());
-    for (std::size_t k = 0; k < sub_.interface_local_dofs.size(); ++k) {
-      const auto l = static_cast<std::size_t>(sub_.interface_local_dofs[k]);
-      buf_[k] = v[l];
-      v[l] = 0.0;
-    }
-  }
-
-  /// Fold all sharers' contributions in ascending rank order (own
-  /// contribution inserted at this rank's position).
-  void fold(std::span<real_t> v) {
-    bool own_added = sub_.neighbors.empty();
-    auto add_own = [&] {
-      // The own-contribution fold is the same work as a neighbor fold —
-      // account its flops symmetrically.
-      for (std::size_t k = 0; k < sub_.interface_local_dofs.size(); ++k)
-        v[static_cast<std::size_t>(sub_.interface_local_dofs[k])] += buf_[k];
-      counters().flops += sub_.interface_local_dofs.size();
-      own_added = true;
-    };
-    if (own_added) add_own();
-    for (const auto& nb : sub_.neighbors) {  // sorted by rank
-      if (!own_added && nb.rank > comm_.rank()) add_own();
-      const std::size_t ns = nb.shared_local_dofs.size();
-      PFEM_DEBUG_CHECK(ns <= recv_buf_.capacity());
-      recv_buf_.resize(ns);
-      comm_.exchange_finish(nb.rank, kExchangeTag,
-                            std::span<real_t>(recv_buf_.data(), ns));
-      for (std::size_t k = 0; k < ns; ++k)
-        v[static_cast<std::size_t>(nb.shared_local_dofs[k])] += recv_buf_[k];
-      counters().flops += ns;
-    }
-    if (!own_added) add_own();
-  }
 
   void post_sends_many(std::span<Vector* const> vs) {
     const std::size_t nb = vs.size();
@@ -332,13 +248,24 @@ class EddRank {
   par::Comm& comm_;
   std::size_t nl_;
   std::size_t max_batch_;  ///< widest fused exchange ever issued
-  Vector buf_, send_buf_, recv_buf_;
+  Vector send_buf_, recv_buf_;
   Vector fused_buf_;  ///< interface stash of exchange_many (nb x ni)
 };
 
 /// Read-only view of a set of lane pointers.
 inline std::span<const Vector* const> as_inputs(std::span<Vector* const> vs) {
   return {const_cast<const Vector* const*>(vs.data()), vs.size()};
+}
+
+/// A global RHS f in this rank's local distributed, scaled format:
+/// b̂ = D̂ (f_loc / mult).
+inline Vector scaled_local_rhs(const EddSubdomain& sub, const Vector& d,
+                               std::span<const real_t> f) {
+  Vector b(d.size());
+  for (std::size_t l = 0; l < b.size(); ++l)
+    b[l] = d[l] * (f[static_cast<std::size_t>(sub.local_to_global[l])] /
+                   static_cast<real_t>(sub.multiplicity[l]));
+  return b;
 }
 
 /// Charge `nb` kernel applies to the rank's counters.
@@ -410,11 +337,11 @@ inline void exchange_spmv(EddRank& r, const RankKernel& a,
 }
 
 /// Distributed polynomial preconditioner z_i = P_m(Â) v_i for a set of
-/// lanes advancing in lockstep — Algorithm 7 generalized to Neumann,
-/// GLS and Chebyshev.  Each of the m recursion steps does one mat-vec
-/// per lane and ONE fused exchange, so a step costs the same number of
-/// messages at any width.  The recursion data (GLS basis, Chebyshev
-/// interval) is the operator's prebuilt, shared read-only copy.
+/// lanes advancing in lockstep: the operator's shared Polynomial
+/// recurrence (Algorithm 7 generalized to Neumann, GLS and Chebyshev)
+/// over this rank's vector-format step.  Each of the m steps does one
+/// mat-vec per lane and ONE fused exchange, so a step costs the same
+/// number of messages at any width.
 ///
 /// Two forms, fixed at construction, with identical arithmetic:
 ///   global (Enhanced, Algorithm 6 line 10): v, z and the recursion
@@ -428,135 +355,30 @@ class DistPoly {
  public:
   DistPoly(const EddOperatorState& op, std::size_t nl, std::size_t width,
            bool local)
-      : spec_(op.poly),
-        gls_(op.gls.get()),
-        cheb_(op.cheb.get()),
-        local_(local) {
-    PFEM_CHECK_MSG(spec_.kind != PolyKind::Gls || gls_ != nullptr,
-                   "GLS preconditioner without prebuilt recursion data");
-    PFEM_CHECK_MSG(spec_.kind != PolyKind::Chebyshev || cheb_ != nullptr,
-                   "Chebyshev preconditioner without a prebuilt interval");
-    wa_.assign(width, Vector(nl));
-    wb_.assign(width, Vector(nl));
-    wc_.assign(width, Vector(nl));
+      : poly_(op.poly.get()), work_(width, nl), local_(local) {
+    PFEM_CHECK_MSG(poly_ != nullptr,
+                   "EDD operator state without a built polynomial "
+                   "(use build_edd_operator)");
     if (local_) wd_.assign(width, Vector(nl));
-    in_.reserve(width);
-    out_.reserve(width);
+    for (Vector& w : wd_) wdp_.push_back(&w);
   }
 
   /// vin[i] -> zout[i]; scratch lane i serves input i.
   void apply(EddRank& r, const RankKernel& a,
              std::span<const Vector* const> vin,
              std::span<Vector* const> zout) {
+    // The step: out_i = Â in_i for every lane, in the form's discipline.
+    poly_->apply(vin, zout, work_,
+                 [&](std::span<const Vector* const> in,
+                     std::span<Vector* const> out) {
+                   if (!local_) return spmv_exchange(r, a, in, out);
+                   for (std::size_t i = 0; i < in.size(); ++i)
+                     la::copy(*in[i], wd_[i]);  // the copies to globalize
+                   exchange_spmv(r, a, std::span(wdp_).first(in.size()), out);
+                 });
     const std::size_t nb = vin.size();
-    const std::size_t n = r.nl();
-    switch (spec_.kind) {
-      case PolyKind::None:
-        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], *zout[i]);
-        return;
-      case PolyKind::Neumann: {
-        // w_k = v + (I - omega*A) w_{k-1}.
-        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], wa_[i]);
-        for (int k = 0; k < spec_.degree; ++k) {
-          matvec(r, a, wa_, wb_, nb);
-          for (std::size_t i = 0; i < nb; ++i) {
-            const Vector& v = *vin[i];
-            Vector& w = wa_[i];
-            const Vector& aw = wb_[i];
-            for (std::size_t l = 0; l < n; ++l)
-              w[l] = v[l] + w[l] - spec_.omega * aw[l];
-            r.counters().flops += 3 * n;
-            r.counters().vector_updates += 1;
-          }
-        }
-        for (std::size_t i = 0; i < nb; ++i) {
-          Vector& z = *zout[i];
-          for (std::size_t l = 0; l < n; ++l) z[l] = spec_.omega * wa_[i][l];
-          r.counters().flops += n;
-        }
-        return;
-      }
-      case PolyKind::Gls: {
-        const OrthoBasis& basis = gls_->basis();
-        const auto mu = gls_->mu();
-        const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < nb; ++i) {
-          la::fill(wa_[i], 0.0);  // u_prev
-          Vector& u = wb_[i];
-          Vector& z = *zout[i];
-          const Vector& v = *vin[i];
-          for (std::size_t l = 0; l < n; ++l) {
-            u[l] = inv0 * v[l];
-            z[l] = mu[0] * u[l];
-          }
-          r.counters().flops += 2 * n;
-        }
-        for (int s = 0; s < spec_.degree; ++s) {
-          matvec(r, a, wb_, wc_, nb);
-          const real_t as = basis.alpha(s);
-          const real_t sb_s = basis.sqrt_beta(s);
-          const real_t sb_n = basis.sqrt_beta(s + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(s) + 1];
-          for (std::size_t i = 0; i < nb; ++i) {
-            Vector& u_prev = wa_[i];
-            Vector& u = wb_[i];
-            const Vector& au = wc_[i];
-            Vector& z = *zout[i];
-            for (std::size_t l = 0; l < n; ++l) {
-              const real_t t =
-                  (au[l] - as * u[l] - (s > 0 ? sb_s * u_prev[l] : 0.0)) /
-                  sb_n;
-              u_prev[l] = u[l];
-              u[l] = t;
-              z[l] += mu_next * t;
-            }
-            r.counters().flops += 7 * n;
-            r.counters().vector_updates += 1;
-          }
-        }
-        return;
-      }
-      case PolyKind::Chebyshev: {
-        const real_t theta =
-            0.5 * (cheb_->interval().lo + cheb_->interval().hi);
-        const real_t delta =
-            0.5 * (cheb_->interval().hi - cheb_->interval().lo);
-        const real_t sigma1 = theta / delta;
-        real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < nb; ++i) {
-          Vector& res = wa_[i];
-          Vector& d = wb_[i];
-          Vector& z = *zout[i];
-          la::copy(*vin[i], res);
-          for (std::size_t l = 0; l < n; ++l) {
-            d[l] = res[l] / theta;
-            z[l] = d[l];
-          }
-          r.counters().flops += 2 * n;
-        }
-        for (int k = 1; k <= spec_.degree; ++k) {
-          matvec(r, a, wb_, wc_, nb);
-          const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
-          const real_t c1 = rho_next * rho;
-          const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < nb; ++i) {
-            Vector& res = wa_[i];
-            Vector& d = wb_[i];
-            const Vector& ad = wc_[i];
-            Vector& z = *zout[i];
-            for (std::size_t l = 0; l < n; ++l) {
-              res[l] -= ad[l];
-              d[l] = c1 * d[l] + c2 * res[l];
-              z[l] += d[l];
-            }
-            r.counters().flops += 6 * n;
-            r.counters().vector_updates += 1;
-          }
-          rho = rho_next;
-        }
-        return;
-      }
-    }
+    r.counters().flops += nb * poly_->flops_per_lane(r.nl());
+    r.counters().vector_updates += nb * poly_->updates_per_lane();
   }
 
   /// Single-lane form, for the short-recurrence solvers.
@@ -567,29 +389,11 @@ class DistPoly {
   }
 
  private:
-  /// out_i = Â in_i for the first nb lanes, in the form's discipline.
-  void matvec(EddRank& r, const RankKernel& a, std::vector<Vector>& in,
-              std::vector<Vector>& out, std::size_t nb) {
-    in_.clear();
-    out_.clear();
-    for (std::size_t i = 0; i < nb; ++i) {
-      if (local_) la::copy(in[i], wd_[i]);  // the copy the exchange globalizes
-      in_.push_back(local_ ? &wd_[i] : &in[i]);
-      out_.push_back(&out[i]);
-    }
-    if (local_)
-      exchange_spmv(r, a, in_, out_);
-    else
-      spmv_exchange(r, a, as_inputs(in_), out_);
-  }
-
-  PolySpec spec_;
-  const GlsPolynomial* gls_;
-  const ChebyshevPolynomial* cheb_;
+  const Polynomial* poly_;
+  PolyScratch work_;
   bool local_;
-  std::vector<Vector> wa_, wb_, wc_;  // per-lane recursion scratch
-  std::vector<Vector> wd_;            // local form: globalized copies
-  std::vector<Vector*> in_, out_;     // fused-exchange views
+  std::vector<Vector> wd_;     // local form: globalized copies
+  std::vector<Vector*> wdp_;   // ... and their lane views
 };
 
 /// The EDD-FGMRES engine behind solve_edd and solve_edd_batch: restarted
@@ -606,17 +410,36 @@ class DistPoly {
     std::span<const Vector> rhs, const SolveOptions& opts, EddVariant variant,
     bool batched_reductions, obs::Trace* trace);
 
+/// The solve half of a one-shot EDD solve: runs on the built operator,
+/// records spans into `trace` (may be null), and fills the report, x and
+/// the solve's rank_counters — or, on a typed communication failure,
+/// only comm_error and the partial report.
+using OneShotRun = std::function<void(par::Team& team,
+                                      const EddOperatorState& op,
+                                      obs::Trace* trace, DistSolve& result)>;
+
 /// Rank body of a short-recurrence EDD solver (CG, BiCGSTAB): writes
 /// this rank's physical solution piece `u` (global format) and, on rank
-/// 0, the report.
+/// 0, the report (history growing per iteration, so a comm failure
+/// leaves a truthful partial report).
 using RankSolveFn = std::function<void(par::Comm& comm,
                                        const EddOperatorState& op, Vector& u,
                                        SolveReport& report)>;
 
-/// One-shot distributed solve on a fresh team: build_edd_operator (the
-/// norm-1 scaling, kernels and polynomial every EDD solver shares), then
-/// `rank_solve` on every rank.  rank_counters cover build + solve;
-/// setup_counters are the build's slice.
+/// The one-shot setup every EDD solver shares: a fresh team armed with
+/// opts.observe's fault injector and comm timeout, a per-call trace when
+/// opts.observe.trace asks for one, build_edd_operator (norm-1 scaling,
+/// kernels, polynomial and — with `deflation` enabled — the coarse
+/// operator), then `run`.  A communication failure in the build or in
+/// `run` comes back as a typed comm-failed report.  rank_counters cover
+/// build + solve; setup_counters are the build's slice.
+[[nodiscard]] DistSolve solve_one_shot(
+    const EddPartition& part, const PolySpec& spec, const SolveOptions& opts,
+    const std::vector<sparse::CsrMatrix>* local_matrices,
+    const DeflationOptions& deflation, const OneShotRun& run);
+
+/// solve_one_shot for a short-recurrence solver: no coarse operator,
+/// `rank_solve` on every rank.
 [[nodiscard]] DistSolve solve_one_shot(
     const EddPartition& part, const PolySpec& spec, const SolveOptions& opts,
     const std::vector<sparse::CsrMatrix>* local_matrices,

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/fgmres.hpp"
-#include "core/intervals.hpp"
+#include "core/polynomial.hpp"
 #include "par/comm.hpp"
 #include "par/counters.hpp"
 #include "partition/edd.hpp"
@@ -29,29 +29,6 @@ enum class EddVariant {
   Basic,     ///< Algorithm 5: 3 exchanges outside the preconditioner
   Enhanced,  ///< Algorithm 6: 1 exchange outside the preconditioner
 };
-
-enum class PolyKind { None, Neumann, Gls, Chebyshev };
-
-/// Which polynomial preconditioner the distributed solvers build (each
-/// rank constructs it redundantly — no communication, the paper's point).
-struct PolySpec {
-  PolyKind kind = PolyKind::Gls;
-  int degree = 7;
-  real_t omega = 1.0;  ///< Neumann scaling (1 is valid after norm-1 scaling)
-  /// GLS spectrum estimate; Chebyshev uses theta.front() (single positive
-  /// interval required).
-  Theta theta = default_theta_after_scaling();
-
-  [[nodiscard]] std::string name() const;
-};
-
-/// Validate a PolySpec at solve entry, throwing pfem::Error with a clear
-/// message instead of letting a bad spec silently misbuild:
-///   - any polynomial kind needs degree >= 1 (None ignores the degree);
-///   - GLS needs a valid Eq.-18 Theta (non-empty, ordered, 0 excluded);
-///   - Chebyshev needs exactly one strictly positive interval (the
-///     semi-iteration has no multi-interval form).
-void validate_poly_spec(const PolySpec& spec);
 
 // The distributed result shape lives in core/solve_report.hpp as
 // `DistSolve`: the unified SolveReport plus the solution, per-rank

@@ -110,9 +110,11 @@ SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
 
   real_t relres = 1.0;
   while (result.iterations < opts.max_iters) {
-    // (Re)start: r = b - A x; beta = ||r||.
-    a.apply(x, r);
-    la::sub(b, r, r);
+    // (Re)start: r = b - A x; beta = ||r||.  The first cycle reuses r₀.
+    if (result.iterations > 0) {
+      a.apply(x, r);
+      la::sub(b, r, r);
+    }
     const real_t beta = la::nrm2(r);
     relres = beta / beta0;
     if (relres <= opts.tol) break;

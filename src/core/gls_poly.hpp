@@ -7,15 +7,17 @@
 //   P_m(λ) = Σ_{i=0}^m μ_i φ_i(λ),   μ_i = ⟨1, λφ_i⟩_w    (Eqs. 20–21)
 // Application P_m(A)v runs the φ recursion in vector space: m mat-vecs,
 // no factorization, no assembled matrix — the property that makes this
-// the preconditioner of choice for the EDD solver.
+// the preconditioner of choice for the EDD solver.  That vector
+// recursion is core::Polynomial (built from basis() and mu()); this
+// class is the fit and its scalar side (Figs. 2 and 3).
 #pragma once
 
 #include <span>
 
 #include "common/types.hpp"
 #include "core/intervals.hpp"
-#include "core/operator.hpp"
 #include "core/orthopoly.hpp"
+#include "core/polynomial.hpp"
 
 namespace pfem::core {
 
@@ -30,29 +32,25 @@ class GlsPolynomial {
   [[nodiscard]] int degree() const noexcept { return m_; }
   [[nodiscard]] const Theta& theta() const noexcept { return theta_; }
 
-  /// z <- P_m(A) v  (m applications of A through the recursion).
-  void apply(const LinearOp& a, std::span<const real_t> v,
-             std::span<real_t> z) const;
-
   /// Scalar P_m(λ) (Fig. 2 residual plots).
-  [[nodiscard]] real_t eval(real_t lambda) const;
+  [[nodiscard]] real_t eval(real_t lambda) const { return rec_.eval(lambda); }
 
   /// Residual polynomial 1 − λ P_m(λ).
-  [[nodiscard]] real_t residual(real_t lambda) const;
+  [[nodiscard]] real_t residual(real_t lambda) const {
+    return 1.0 - lambda * eval(lambda);
+  }
 
   /// max |1 − λP_m(λ)| sampled over Θ (convergence-quality metric).
   [[nodiscard]] real_t residual_sup_on_theta(int samples_per_interval = 512)
       const;
 
   /// Power-basis coefficients a_0..a_m of P_m (Eq. 23, Fig. 3 input).
-  [[nodiscard]] Vector power_coeffs() const;
+  [[nodiscard]] Vector power_coeffs() const { return rec_.power_coeffs(); }
 
   /// Σ|a_i| over the power basis.
-  [[nodiscard]] real_t coeff_abs_sum() const;
+  [[nodiscard]] real_t coeff_abs_sum() const { return rec_.coeff_abs_sum(); }
 
-  /// Recursion data, exposed so distributed solvers can run the φ
-  /// recursion on their own vector formats (Basic-variant EDD keeps the
-  /// iterates in both local and global distributed form).
+  /// Recursion data of the φ recurrence (run by core::Polynomial).
   [[nodiscard]] const OrthoBasis& basis() const noexcept { return basis_; }
   [[nodiscard]] std::span<const real_t> mu() const noexcept { return mu_; }
 
@@ -61,10 +59,7 @@ class GlsPolynomial {
   int m_;
   OrthoBasis basis_;   // orthonormal under λ²w
   Vector mu_;          // μ_0..μ_m
-
-  [[nodiscard]] static OrthoBasis build_basis(const Theta& theta, int degree,
-                                              int points_per_interval,
-                                              QuadratureRule& w_rule_out);
+  Polynomial rec_;     // the recurrence over basis_ and mu_
 };
 
 }  // namespace pfem::core

@@ -1,11 +1,13 @@
-// Abstract linear operator.
+// Abstract linear operator of the sequential solvers (fgmres, pcg,
+// bicgstab) and of the sequential polynomial preconditioner PolyPrecond.
 //
-// The polynomial preconditioners apply P_m(A)v purely through mat-vec
-// products, so they are written against this minimal operator concept.
-// Sequentially the operator is a CSR SpMV; in the EDD/RDD solvers it is
-// the *distributed* mat-vec (local SpMV + nearest-neighbor exchange),
-// which is precisely how the paper parallelizes preconditioning at zero
-// extra machinery.
+// A polynomial preconditioner needs nothing but mat-vec products, so
+// core::Polynomial runs its recurrence over a caller-supplied step: here
+// a LinearOp apply (usually a CSR SpMV); in the EDD/RDD solvers the
+// *distributed* mat-vec (local SpMV + nearest-neighbor exchange), which
+// is precisely how the paper parallelizes preconditioning at zero extra
+// machinery.  The distributed solvers pass their step directly rather
+// than wrapping it in a LinearOp.
 #pragma once
 
 #include <functional>

@@ -89,21 +89,6 @@ real_t OrthoBasis::sqrt_beta(int i) const {
   return sqrt_beta_[static_cast<std::size_t>(i)];
 }
 
-Vector OrthoBasis::eval_all(real_t x) const {
-  Vector v(static_cast<std::size_t>(m_) + 1, 0.0);
-  v[0] = 1.0 / sqrt_beta_[0];
-  for (int i = 0; i < m_; ++i) {
-    real_t t = (x - alpha_[static_cast<std::size_t>(i)]) *
-               v[static_cast<std::size_t>(i)];
-    if (i > 0)
-      t -= sqrt_beta_[static_cast<std::size_t>(i)] *
-           v[static_cast<std::size_t>(i) - 1];
-    v[static_cast<std::size_t>(i) + 1] =
-        t / sqrt_beta_[static_cast<std::size_t>(i) + 1];
-  }
-  return v;
-}
-
 std::span<const real_t> OrthoBasis::node_values(int i) const {
   PFEM_CHECK(i >= 0 && i <= m_);
   return phi_[static_cast<std::size_t>(i)];

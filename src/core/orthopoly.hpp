@@ -52,9 +52,6 @@ class OrthoBasis {
   [[nodiscard]] real_t alpha(int i) const;
   [[nodiscard]] real_t sqrt_beta(int i) const;  // i = 0..m
 
-  /// Evaluate φ_0..φ_m at x by the recursion.
-  [[nodiscard]] Vector eval_all(real_t x) const;
-
   /// Values of φ_i at the construction nodes (for computing inner
   /// products of the fit).
   [[nodiscard]] std::span<const real_t> node_values(int i) const;

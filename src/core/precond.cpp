@@ -37,4 +37,24 @@ void IlukPrecond::apply(std::span<const real_t> v, std::span<real_t> z) {
   iluk_.solve(v, z);
 }
 
+PolyPrecond::PolyPrecond(LinearOp a, const PolySpec& spec)
+    : a_(std::move(a)),
+      poly_(spec),
+      work_(1, static_cast<std::size_t>(a_.size())),
+      v_(static_cast<std::size_t>(a_.size())),
+      z_(v_.size()) {}
+
+void PolyPrecond::apply(std::span<const real_t> v, std::span<real_t> z) {
+  PFEM_CHECK(v.size() == v_.size() && z.size() == z_.size());
+  std::copy(v.begin(), v.end(), v_.begin());
+  const Vector* const vin[1] = {&v_};
+  Vector* const zout[1] = {&z_};
+  poly_.apply(vin, zout, work_,
+              [this](std::span<const Vector* const> in,
+                     std::span<Vector* const> out) {
+                a_.apply(*in[0], *out[0]);
+              });
+  std::copy(z_.begin(), z_.end(), z.begin());
+}
+
 }  // namespace pfem::core

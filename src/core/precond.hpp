@@ -12,10 +12,8 @@
 #include <utility>
 
 #include "common/types.hpp"
-#include "core/chebyshev.hpp"
-#include "core/gls_poly.hpp"
-#include "core/neumann.hpp"
 #include "core/operator.hpp"
+#include "core/polynomial.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/iluk.hpp"
@@ -82,64 +80,24 @@ class IlukPrecond final : public Preconditioner {
   sparse::IluK iluk_;
 };
 
-/// C = P_m(A) with the Neumann-series polynomial (Algorithm 7).
-class NeumannPrecond final : public Preconditioner {
+/// C = P_m(A) for any PolySpec (Neumann, GLS, Chebyshev; None is C = I):
+/// the shared Polynomial recurrence, stepping through `a`.
+class PolyPrecond final : public Preconditioner {
  public:
-  NeumannPrecond(LinearOp a, NeumannPolynomial poly)
-      : a_(std::move(a)), poly_(std::move(poly)) {}
-  void apply(std::span<const real_t> v, std::span<real_t> z) override {
-    poly_.apply(a_, v, z);
-  }
+  PolyPrecond(LinearOp a, const PolySpec& spec);
+  void apply(std::span<const real_t> v, std::span<real_t> z) override;
   [[nodiscard]] std::string name() const override {
-    return "Neumann(" + std::to_string(poly_.degree()) + ")";
+    return poly_.spec().name();
   }
   [[nodiscard]] int matvecs_per_apply() const override {
-    return poly_.degree();
+    return poly_.steps();
   }
 
  private:
   LinearOp a_;
-  NeumannPolynomial poly_;
-};
-
-/// C = P_m(A) with the GLS polynomial.
-class GlsPrecond final : public Preconditioner {
- public:
-  GlsPrecond(LinearOp a, GlsPolynomial poly)
-      : a_(std::move(a)), poly_(std::move(poly)) {}
-  void apply(std::span<const real_t> v, std::span<real_t> z) override {
-    poly_.apply(a_, v, z);
-  }
-  [[nodiscard]] std::string name() const override {
-    return "GLS(" + std::to_string(poly_.degree()) + ")";
-  }
-  [[nodiscard]] int matvecs_per_apply() const override {
-    return poly_.degree();
-  }
-
- private:
-  LinearOp a_;
-  GlsPolynomial poly_;
-};
-
-/// C = p_m(A) with the Chebyshev min-max polynomial.
-class ChebyshevPrecond final : public Preconditioner {
- public:
-  ChebyshevPrecond(LinearOp a, ChebyshevPolynomial poly)
-      : a_(std::move(a)), poly_(std::move(poly)) {}
-  void apply(std::span<const real_t> v, std::span<real_t> z) override {
-    poly_.apply(a_, v, z);
-  }
-  [[nodiscard]] std::string name() const override {
-    return "Cheb(" + std::to_string(poly_.degree()) + ")";
-  }
-  [[nodiscard]] int matvecs_per_apply() const override {
-    return poly_.degree();
-  }
-
- private:
-  LinearOp a_;
-  ChebyshevPolynomial poly_;
+  Polynomial poly_;
+  PolyScratch work_;
+  Vector v_, z_;  ///< the single lane's input and output
 };
 
 /// Adapter for ad-hoc preconditioners (distributed closures, tests).

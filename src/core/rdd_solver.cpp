@@ -5,8 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/chebyshev.hpp"
-#include "core/gls_poly.hpp"
+#include "core/polynomial.hpp"
 #include "la/hessenberg_lsq.hpp"
 #include "la/vector_ops.hpp"
 #include "obs/trace.hpp"
@@ -264,14 +263,12 @@ void rdd_rank_solve(const RddPartition& part,
     op.ext_csr = &a_ext;
   }
 
-  // Preconditioner: polynomial (redundant construction) or local ILU(0)
-  // block-Jacobi solve.
-  std::optional<GlsPolynomial> gls;
-  std::optional<ChebyshevPolynomial> cheb;
+  // Preconditioner: the polynomial (redundant construction), local
+  // ILU(0) block-Jacobi or restricted additive Schwarz.
+  std::optional<Polynomial> poly;
   std::optional<sparse::Ilu0> ilu;
   std::optional<sparse::Ilu0> schwarz_ilu;
   const std::size_t n_ovl = nl + static_cast<std::size_t>(sub.n_ext());
-  int degree = 0;
   if (rdd_opts.precond == RddOptions::Precond::BlockJacobiIlu) {
     ilu.emplace(a_loc);
   } else if (rdd_opts.precond == RddOptions::Precond::AdditiveSchwarz) {
@@ -284,24 +281,16 @@ void rdd_rank_solve(const RddPartition& part,
       d_full[nl + k] = d_ext[k];
     a_ovl.scale_symmetric(d_full);
     schwarz_ilu.emplace(a_ovl);
-  } else if (rdd_opts.poly.kind == PolyKind::Gls) {
-    gls.emplace(rdd_opts.poly.theta, rdd_opts.poly.degree);
-    degree = rdd_opts.poly.degree;
-  } else if (rdd_opts.poly.kind == PolyKind::Chebyshev) {
-    PFEM_CHECK_MSG(!rdd_opts.poly.theta.empty(),
-                   "Chebyshev preconditioner needs an interval");
-    cheb.emplace(rdd_opts.poly.theta.front(), rdd_opts.poly.degree);
-    degree = rdd_opts.poly.degree;
-  } else if (rdd_opts.poly.kind == PolyKind::Neumann) {
-    degree = rdd_opts.poly.degree;
+  } else {
+    poly.emplace(rdd_opts.poly);
   }
   out.setup_counters[static_cast<std::size_t>(s)] = comm.counters();
   if (traced) tr->close("setup", obs::Cat::Setup, setup_t0, setup_depth);
 
-  // z = P(A) v through the distributed mat-vec: `degree` exchanges.
-  Vector pa(nl), pb(nl), pc(nl);
+  // z = P(A) v through the distributed mat-vec: one exchange per step.
+  PolyScratch pwork(poly ? 1 : 0, nl);
   Vector ovl_rhs(n_ovl), ovl_sol(n_ovl);
-  auto precondition = [&](std::span<const real_t> v, std::span<real_t> zz) {
+  auto precondition = [&](const Vector& v, Vector& zz) {
     if (rdd_opts.precond == RddOptions::Precond::BlockJacobiIlu) {
       ilu->solve(v, zz);
       r.counters().flops += ilu->solve_flops();
@@ -321,87 +310,15 @@ void rdd_rank_solve(const RddPartition& part,
       for (std::size_t l = 0; l < nl; ++l) zz[l] = ovl_sol[l];
       return;
     }
-    switch (rdd_opts.poly.kind) {
-      case PolyKind::None:
-        la::copy(v, zz);
-        return;
-      case PolyKind::Neumann: {
-        Vector& w = pa;
-        Vector& aw = pb;
-        la::copy(v, w);
-        const real_t omega = rdd_opts.poly.omega;
-        for (int k = 0; k < degree; ++k) {
-          r.matvec(op, w, aw);
-          for (std::size_t i = 0; i < nl; ++i)
-            w[i] = v[i] + w[i] - omega * aw[i];
-          r.counters().flops += 3 * nl;
-          r.counters().vector_updates += 1;
-        }
-        for (std::size_t i = 0; i < nl; ++i) zz[i] = omega * w[i];
-        return;
-      }
-      case PolyKind::Gls: {
-        const OrthoBasis& basis = gls->basis();
-        const auto mu = gls->mu();
-        Vector& u_prev = pa;
-        Vector& u = pb;
-        Vector& au = pc;
-        la::fill(u_prev, 0.0);
-        const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < nl; ++i) {
-          u[i] = inv0 * v[i];
-          zz[i] = mu[0] * u[i];
-        }
-        for (int i = 0; i < degree; ++i) {
-          r.matvec(op, u, au);
-          const real_t ai = basis.alpha(i);
-          const real_t sb_i = basis.sqrt_beta(i);
-          const real_t sb_n = basis.sqrt_beta(i + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(i) + 1];
-          for (std::size_t k = 0; k < nl; ++k) {
-            const real_t t =
-                (au[k] - ai * u[k] - (i > 0 ? sb_i * u_prev[k] : 0.0)) / sb_n;
-            u_prev[k] = u[k];
-            u[k] = t;
-            zz[k] += mu_next * t;
-          }
-          r.counters().flops += 7 * nl;
-          r.counters().vector_updates += 1;
-        }
-        return;
-      }
-      case PolyKind::Chebyshev: {
-        // Chebyshev semi-iteration through the distributed mat-vec.
-        const Interval iv = rdd_opts.poly.theta.front();
-        const real_t theta = 0.5 * (iv.lo + iv.hi);
-        const real_t delta = 0.5 * (iv.hi - iv.lo);
-        const real_t sigma1 = theta / delta;
-        Vector& res = pa;
-        Vector& dvec = pb;
-        Vector& ad = pc;
-        la::copy(v, res);
-        real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < nl; ++i) {
-          dvec[i] = res[i] / theta;
-          zz[i] = dvec[i];
-        }
-        for (int k = 1; k <= degree; ++k) {
-          r.matvec(op, dvec, ad);
-          const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
-          const real_t c1 = rho_next * rho;
-          const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < nl; ++i) {
-            res[i] -= ad[i];
-            dvec[i] = c1 * dvec[i] + c2 * res[i];
-            zz[i] += dvec[i];
-          }
-          rho = rho_next;
-          r.counters().flops += 6 * nl;
-          r.counters().vector_updates += 1;
-        }
-        return;
-      }
-    }
+    const Vector* const vin[1] = {&v};
+    Vector* const zout[1] = {&zz};
+    poly->apply(vin, zout, pwork,
+                [&](std::span<const Vector* const> in,
+                    std::span<Vector* const> out) {
+                  r.matvec(op, *in[0], *out[0]);
+                });
+    r.counters().flops += poly->flops_per_lane(nl);
+    r.counters().vector_updates += poly->updates_per_lane();
   };
 
   // ---- FGMRES (Algorithm 8).
@@ -529,7 +446,7 @@ void rdd_rank_solve(const RddPartition& part,
   r.matvec(op, x, res);
   for (std::size_t l = 0; l < nl; ++l) res[l] = b[l] - res[l];
   const real_t final_res = std::sqrt(r.dot(res, res));
-  const real_t final_relres = beta0 > 0.0 ? final_res / beta0 : 0.0;
+  const real_t final_relres = relative_residual(final_res, beta0);
 
   Vector u(nl);
   for (std::size_t l = 0; l < nl; ++l) u[l] = dscale[l] * x[l];
@@ -553,11 +470,11 @@ DistSolve solve_rdd(const RddPartition& part,
                           const RddOptions& rdd_opts,
                           const SolveOptions& opts) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
+  require_finite_rhs(f_global, "solve_rdd");
   PFEM_CHECK_MSG(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0,
                  "solve_rdd: need restart >= 1, max_iters >= 1, tol > 0");
-  if (rdd_opts.precond == RddOptions::Precond::Poly &&
-      rdd_opts.poly.kind == PolyKind::Gls)
-    validate_theta(rdd_opts.poly.theta);
+  if (rdd_opts.precond == RddOptions::Precond::Poly)
+    validate_poly_spec(rdd_opts.poly);
   const int p = part.nparts();
 
   SharedOut out;

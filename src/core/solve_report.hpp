@@ -12,10 +12,13 @@
 // compile unchanged.
 #pragma once
 
+#include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
 #include "par/counters.hpp"
@@ -77,5 +80,26 @@ struct DistSolve : SolveReport {
   /// per rank); null otherwise.  Shared so reports stay copyable.
   std::shared_ptr<const obs::Trace> trace;
 };
+
+/// True when every entry of v is finite (no NaN, no ±inf).
+[[nodiscard]] inline bool all_finite(std::span<const real_t> v) {
+  for (const real_t x : v)
+    if (!std::isfinite(x)) return false;
+  return true;
+}
+
+/// Entry check of the distributed solvers: a non-finite RHS entry has no
+/// meaningful solve (and would read as a zero residual downstream), so it
+/// is refused with a pfem::Error naming the solver.
+inline void require_finite_rhs(std::span<const real_t> f, const char* solver) {
+  PFEM_CHECK_MSG(all_finite(f), solver << ": the right-hand side has a "
+                                          "non-finite (NaN or inf) entry");
+}
+
+/// ‖r‖/‖r₀‖ at exit: 0 for a trivial RHS (‖r₀‖ = 0) by convention; a NaN
+/// in either norm propagates, so it can never read as convergence.
+[[nodiscard]] inline real_t relative_residual(real_t res, real_t beta0) {
+  return beta0 == 0.0 ? 0.0 : res / beta0;
+}
 
 }  // namespace pfem::core

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "core/bicgstab.hpp"
@@ -14,6 +16,7 @@
 #include "fem/problems.hpp"
 #include "la/dense.hpp"
 #include "la/vector_ops.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "degenerate_operator.hpp"
 
@@ -102,8 +105,9 @@ TEST(Bicgstab, PolynomialPreconditionerReducesIterations) {
   IdentityPrecond none;
   const SolveReport plain = bicgstab(s.a, s.b, x1, none, opts);
   Vector x2(s.b.size(), 0.0);
-  GlsPrecond gls(LinearOp::from_csr(s.a),
-                 GlsPolynomial(default_theta_after_scaling(), 7));
+  PolyPrecond gls(
+      LinearOp::from_csr(s.a),
+      PolySpec{.kind = PolyKind::Gls, .degree = 7});
   const SolveReport prec = bicgstab(s.a, s.b, x2, gls, opts);
   ASSERT_TRUE(plain.converged && prec.converged);
   EXPECT_LT(prec.iterations, plain.iterations);
@@ -206,6 +210,72 @@ TEST(Bicgstab, RhatBreakdownReturnsAReport) {
   EXPECT_EQ(res.converged, res.final_relres <= opts.tol);
   EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.iterations));
   EXPECT_LT(res.final_relres, 1e-12);
+}
+
+sparse::CsrMatrix from_triplets(
+    index_t n, std::initializer_list<std::tuple<index_t, index_t, real_t>> t) {
+  sparse::CooBuilder coo(n, n);
+  for (const auto& [i, j, v] : t) coo.add(i, j, v);
+  return coo.build();
+}
+
+TEST(Bicgstab, RhatVBreakdownReturnsAReport) {
+  // A skew matrix with r0 = b: v = A p is orthogonal to r̂ = b, so alpha
+  // is undefined.  The solve stops and says so, without throwing.
+  const sparse::CsrMatrix a = from_triplets(2, {{0, 1, 1.0}, {1, 0, -1.0}});
+  const Vector b{1.0, 1.0};
+  Vector x(2, 0.0);
+  IdentityPrecond none;
+  SolveReport res;
+  ASSERT_NO_THROW(res = bicgstab(a, b, x, none, {}));
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.iterations));
+  EXPECT_TRUE(std::isfinite(res.final_relres));
+  for (const real_t v : x) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Bicgstab, ZeroOmegaBreakdownReturnsAReport) {
+  // diag(1, -1, 0) with b = [1, 0.5, 1]: the first stabilizing step has
+  // <t, s> = 0 exactly, so omega = 0 and the next beta would divide by it.
+  const sparse::CsrMatrix a = sparse::diagonal_matrix({1.0, -1.0, 0.0});
+  const Vector b{1.0, 0.5, 1.0};
+  Vector x(3, 0.0);
+  IdentityPrecond none;
+  SolveReport res;
+  ASSERT_NO_THROW(res = bicgstab(a, b, x, none, {}));
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_FALSE(res.converged);  // b is not in the range of A
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_EQ(res.history.size(), 1u);
+  EXPECT_TRUE(std::isfinite(res.final_relres));
+}
+
+TEST(EddBicgstab, RhatVBreakdownReturnsAReport) {
+  // The distributed form of the skew reproducer: the 2x1 cantilever at
+  // P = 1 (8 dofs) with 2x2 skew blocks as the local-matrix override.
+  fem::CantileverSpec spec;
+  spec.nx = 2;
+  spec.ny = 1;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  const partition::EddPartition part = exp::make_edd(prob, 1);
+  const index_t n = part.subs.front().n_local();
+  ASSERT_EQ(n, 8);
+  sparse::CooBuilder coo(n, n);
+  for (index_t k = 0; k + 1 < n; k += 2) {
+    coo.add(k, k + 1, 1.0);
+    coo.add(k + 1, k, -1.0);
+  }
+  const std::vector<sparse::CsrMatrix> skew{coo.build()};
+  const Vector f(static_cast<std::size_t>(part.n_global), 1.0);
+  const PolySpec none{.kind = PolyKind::None};
+  DistSolve res;
+  ASSERT_NO_THROW(res = solve_edd_bicgstab(part, f, none, {}, &skew));
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.iterations));
+  EXPECT_TRUE(std::isfinite(res.final_relres));
+  for (const real_t v : res.x) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(EddBicgstab, ConvergenceIsJudgedByTheTrueResidual) {

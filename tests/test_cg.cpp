@@ -71,8 +71,9 @@ TEST(Pcg, PolynomialPreconditionerCutsIterations) {
   const SolveReport plain = pcg(s.a, s.b, x1, none, opts);
 
   Vector x2(s.b.size(), 0.0);
-  GlsPrecond gls(LinearOp::from_csr(s.a),
-                 GlsPolynomial(default_theta_after_scaling(), 7));
+  PolyPrecond gls(
+      LinearOp::from_csr(s.a),
+      PolySpec{.kind = PolyKind::Gls, .degree = 7});
   const SolveReport with_gls = pcg(s.a, s.b, x2, gls, opts);
 
   ASSERT_TRUE(plain.converged && with_gls.converged);
@@ -151,7 +152,7 @@ TEST(EddCg, ExchangesPerIterationAreDegreePlusOne) {
   EXPECT_EQ(d.global_reductions, 3u);   // pap, ||r||, rho
 }
 
-TEST(EddCg, ChebyshevPreconditionerWorksToo) {
+TEST(EddCg, ChebyshevPolynomialWorksToo) {
   fem::CantileverSpec spec;
   spec.nx = 10;
   spec.ny = 5;

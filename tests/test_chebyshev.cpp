@@ -53,10 +53,13 @@ TEST(Chebyshev, Degree0IsOptimalConstant) {
 TEST(Chebyshev, ApplyOnDiagonalMatrixMatchesScalarEval) {
   const Vector eigs{0.12, 0.5, 1.3, 2.4};
   const sparse::CsrMatrix a = sparse::diagonal_matrix(eigs);
-  const LinearOp op = LinearOp::from_csr(a);
   const ChebyshevPolynomial p({0.1, 2.5}, 9);
+  PolyPrecond pc(LinearOp::from_csr(a),
+                 PolySpec{.kind = PolyKind::Chebyshev,
+                          .degree = 9,
+                          .theta = {{0.1, 2.5}}});
   Vector v{1.0, -1.0, 2.0, 0.5}, z(4);
-  p.apply(op, v, z);
+  pc.apply(v, z);
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_NEAR(z[i], p.eval(eigs[i]) * v[i], 1e-11);
 }
@@ -114,8 +117,11 @@ TEST(Chebyshev, PrecondSpeedsUpFgmresWithMatchedInterval) {
 
   const sparse::Interval iv = sparse::estimate_spectrum(a, 30);
   Vector x1(b.size(), 0.0);
-  ChebyshevPrecond cheb(LinearOp::from_csr(a),
-                        ChebyshevPolynomial({iv.lo, iv.hi}, 10));
+  PolyPrecond cheb(
+      LinearOp::from_csr(a),
+      PolySpec{.kind = PolyKind::Chebyshev,
+               .degree = 10,
+               .theta = {{iv.lo, iv.hi}}});
   const SolveReport with_cheb = fgmres(a, b, x1, cheb, opts);
 
   ASSERT_TRUE(plain.converged && with_cheb.converged);

@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <tuple>
 
+#include "common/error.hpp"
+#include "core/bicgstab.hpp"
+#include "core/cg.hpp"
+#include "core/edd_batch.hpp"
+#include "core/edd_kernels.hpp"
 #include "core/edd_solver.hpp"
 #include "core/fgmres.hpp"
+#include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
@@ -522,6 +529,68 @@ TEST(EddSolver, RecyclingWarmStartsEitherVariant) {
       EXPECT_NEAR(warm.x[i], 1.05 * ref[i], 1e-4 * scale) << "dof " << i;
   }
 }
+
+// ---- Non-finite right-hand sides (NaN/inf): refused at every
+// distributed entry point with a pfem::Error, never "converged".
+
+TEST(EddSolverReport, SqrtNonnegPropagatesNanAndClampsTinyNegatives) {
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(detail::sqrt_nonneg(nan)));
+  EXPECT_EQ(detail::sqrt_nonneg(-1e-30), 0.0);
+  EXPECT_FALSE(std::signbit(detail::sqrt_nonneg(-0.0)));
+  EXPECT_EQ(detail::sqrt_nonneg(2.25), 1.5);
+  EXPECT_TRUE(std::isinf(
+      detail::sqrt_nonneg(std::numeric_limits<real_t>::infinity())));
+  EXPECT_EQ(relative_residual(0.0, 0.0), 0.0);
+  EXPECT_TRUE(std::isnan(relative_residual(1.0, nan)));
+}
+
+class NonFiniteRhsTest : public ::testing::TestWithParam<real_t> {
+ protected:
+  static const fem::CantileverProblem& prob() {
+    static const fem::CantileverProblem p = [] {
+      fem::CantileverSpec spec;
+      spec.nx = 16;
+      spec.ny = 8;
+      return fem::make_cantilever(spec);
+    }();
+    return p;
+  }
+  Vector poisoned() const {
+    Vector f = prob().load;
+    f[5] = GetParam();
+    return f;
+  }
+};
+
+TEST_P(NonFiniteRhsTest, EveryEddEntryPointRejectsIt) {
+  const partition::EddPartition part = exp::make_edd(prob(), 4);
+  const Vector f = poisoned();
+  const PolySpec gls{};
+  for (const EddVariant v : {EddVariant::Basic, EddVariant::Enhanced})
+    EXPECT_THROW((void)solve_edd(part, f, gls, {}, v), Error);
+  EXPECT_THROW((void)solve_edd_cg(part, f, gls), Error);
+  EXPECT_THROW((void)solve_edd_bicgstab(part, f, gls), Error);
+  par::Team team(4);
+  const EddOperatorState op = build_edd_operator(team, part, gls);
+  const std::vector<Vector> batch{prob().load, f};
+  EXPECT_THROW((void)solve_edd_batch(team, part, op, batch), Error);
+  // The team is still usable: the finite lane alone solves.
+  const BatchSolveResult ok =
+      solve_edd_batch(team, part, op, std::span(batch).first(1));
+  EXPECT_TRUE(ok.items.front().converged);
+}
+
+TEST_P(NonFiniteRhsTest, RddRejectsIt) {
+  const partition::RddPartition part = exp::make_rdd(prob(), 4);
+  EXPECT_THROW((void)solve_rdd(part, poisoned()), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NanAndInf, NonFiniteRhsTest,
+    ::testing::Values(std::numeric_limits<real_t>::quiet_NaN(),
+                      std::numeric_limits<real_t>::infinity(),
+                      -std::numeric_limits<real_t>::infinity()));
 
 }  // namespace
 }  // namespace pfem::core

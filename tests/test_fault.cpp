@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "chaos_harness.hpp"
+#include "core/bicgstab.hpp"
+#include "core/cg.hpp"
 #include "core/edd_batch.hpp"
 #include "core/edd_solver.hpp"
 #include "core/rdd_solver.hpp"
@@ -398,24 +401,57 @@ TEST(SolverFaults, BatchReturnsTypedPartialReportOnCrash) {
             static_cast<std::size_t>(r.items[0].iterations));
 }
 
+/// One EDD solver entry point under test, with a collective index its
+/// solve on the chaos scene reaches mid-iteration.
+struct EddSolveCase {
+  const char* name;
+  std::uint64_t crash_collective;
+  std::function<core::DistSolve(const chaos::Scene&,
+                                const core::SolveOptions&)>
+      solve;
+};
+
+std::vector<EddSolveCase> edd_solve_cases() {
+  return {
+      {"fgmres", 40,
+       [](const chaos::Scene& s, const core::SolveOptions& o) {
+         return core::solve_edd(*s.part, s.prob.load, s.poly, o);
+       }},
+      {"cg", 10,
+       [](const chaos::Scene& s, const core::SolveOptions& o) {
+         return core::solve_edd_cg(*s.part, s.prob.load, s.poly, o);
+       }},
+      {"bicgstab", 10,
+       [](const chaos::Scene& s, const core::SolveOptions& o) {
+         return core::solve_edd_bicgstab(*s.part, s.prob.load, s.poly, o);
+       }},
+  };
+}
+
 TEST(SolverFaults, SolveEddReturnsTypedPartialReportOnCrash) {
+  // Every EDD solver shares one one-shot setup: the fault injector, the
+  // comm timeout and the trace reach it, and a mid-solve crash is a
+  // typed partial report.
   const chaos::Scene& s = chaos::scene();
-  for (const bool recycle : {false, true}) {
-    FaultInjector inj(one_fault(FaultSite{2, -1, Op::Collective, 40},
-                                FaultAction{FaultType::Crash, 0}));
-    core::SolveOptions opts;
-    opts.recycle.enabled = recycle;
-    opts.observe.fault_injector = &inj;
-    opts.observe.comm_timeout_seconds = 0.5;
-    const core::DistSolve r =
-        core::solve_edd(*s.part, s.prob.load, s.poly, opts);
-    ASSERT_TRUE(r.comm_failed()) << "recycle " << recycle;
-    EXPECT_FALSE(r.converged);
-    EXPECT_TRUE(r.x.empty());
-    EXPECT_FALSE(r.history.empty());
-    EXPECT_EQ(r.history.size(), static_cast<std::size_t>(r.iterations))
-        << "recycle " << recycle;
-  }
+  for (const EddSolveCase& c : edd_solve_cases())
+    for (const bool recycle : {false, true}) {
+      FaultInjector inj(
+          one_fault(FaultSite{2, -1, Op::Collective, c.crash_collective},
+                    FaultAction{FaultType::Crash, 0}));
+      core::SolveOptions opts;
+      opts.recycle.enabled = recycle;
+      opts.observe.fault_injector = &inj;
+      opts.observe.comm_timeout_seconds = 0.5;
+      opts.observe.trace = true;
+      const core::DistSolve r = c.solve(s, opts);
+      ASSERT_TRUE(r.comm_failed()) << c.name << " recycle " << recycle;
+      EXPECT_FALSE(r.converged) << c.name;
+      EXPECT_TRUE(r.x.empty()) << c.name;
+      EXPECT_FALSE(r.history.empty()) << c.name;
+      EXPECT_EQ(r.history.size(), static_cast<std::size_t>(r.iterations))
+          << c.name << " recycle " << recycle;
+      EXPECT_NE(r.trace, nullptr) << c.name;
+    }
 }
 
 TEST(SolverFaults, SolveEddReturnsTypedReportOnSetupCrash) {
@@ -424,22 +460,25 @@ TEST(SolverFaults, SolveEddReturnsTypedReportOnSetupCrash) {
   // an escaping exception.
   const chaos::Scene& s = chaos::scene();
   const int peer = s.part->subs[1].neighbors.front().rank;
-  for (const bool recycle : {false, true}) {
-    FaultInjector inj(one_fault(FaultSite{1, peer, Op::Send, 0},
-                                FaultAction{FaultType::Crash, 0}));
-    core::SolveOptions opts;
-    opts.recycle.enabled = recycle;
-    opts.observe.fault_injector = &inj;
-    opts.observe.comm_timeout_seconds = 0.5;
-    const core::DistSolve r =
-        core::solve_edd(*s.part, s.prob.load, s.poly, opts);
-    ASSERT_TRUE(r.comm_failed()) << "recycle " << recycle;
-    EXPECT_NE(r.comm_error.find("injected crash"), std::string::npos);
-    EXPECT_FALSE(r.converged);
-    EXPECT_TRUE(r.x.empty());
-    EXPECT_TRUE(r.history.empty());
-    EXPECT_EQ(r.iterations, 0);
-  }
+  for (const EddSolveCase& c : edd_solve_cases())
+    for (const bool recycle : {false, true}) {
+      FaultInjector inj(one_fault(FaultSite{1, peer, Op::Send, 0},
+                                  FaultAction{FaultType::Crash, 0}));
+      core::SolveOptions opts;
+      opts.recycle.enabled = recycle;
+      opts.observe.fault_injector = &inj;
+      opts.observe.comm_timeout_seconds = 0.5;
+      opts.observe.trace = true;
+      const core::DistSolve r = c.solve(s, opts);
+      ASSERT_TRUE(r.comm_failed()) << c.name << " recycle " << recycle;
+      EXPECT_NE(r.comm_error.find("injected crash"), std::string::npos)
+          << c.name;
+      EXPECT_FALSE(r.converged) << c.name;
+      EXPECT_TRUE(r.x.empty()) << c.name;
+      EXPECT_TRUE(r.history.empty()) << c.name;
+      EXPECT_EQ(r.iterations, 0) << c.name;
+      EXPECT_NE(r.trace, nullptr) << c.name;
+    }
 }
 
 TEST(SolverFaults, SolveRddReturnsTypedPartialReportOnCrash) {

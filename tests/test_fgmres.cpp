@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "core/diag_scaling.hpp"
 #include "core/fgmres.hpp"
+#include "core/operator.hpp"
 #include "core/precond.hpp"
 #include "fem/problems.hpp"
 #include "la/dense.hpp"
@@ -89,6 +91,32 @@ TEST(Fgmres, HistoryLengthMatchesIterations) {
     EXPECT_LE(res.history[i], res.history[i - 1] * (1.0 + 1e-12));
 }
 
+TEST(Fgmres, OneOperatorApplyPerIterationCycleStartAndFinalCheck) {
+  // The initial residual is computed once: a counting operator sees one
+  // apply per Arnoldi step, one per cycle start (restarts + 1) and one
+  // for the final true residual — nothing more.
+  fem::CantileverSpec spec;
+  spec.nx = 16;
+  spec.ny = 8;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  long applies = 0;
+  const LinearOp counting(
+      prob.stiffness.rows(),
+      [&](std::span<const real_t> x, std::span<real_t> y) {
+        ++applies;
+        prob.stiffness.spmv(x, y);
+      });
+  JacobiPrecond jacobi(prob.stiffness);
+  SolveOptions opts;
+  opts.restart = 10;
+  opts.max_iters = 5000;
+  Vector x(prob.load.size(), 0.0);
+  const SolveReport res = fgmres(counting, prob.load, x, jacobi, opts);
+  ASSERT_TRUE(res.converged);
+  ASSERT_GT(res.restarts, 0);
+  EXPECT_EQ(applies, res.iterations + (res.restarts + 1) + 1);
+}
+
 TEST(Fgmres, Ilu0BeatsUnpreconditioned) {
   const sparse::CsrMatrix a = sparse::laplace2d(15, 15);
   Vector b(225, 1.0);
@@ -122,12 +150,15 @@ TEST(Fgmres, PolynomialPrecondBeatsUnpreconditionedOnScaledSystem) {
   const SolveReport r_none = fgmres(s.a, s.b, x0, none, opts);
 
   Vector x1(s.b.size(), 0.0);
-  GlsPrecond gls(LinearOp::from_csr(s.a),
-                 GlsPolynomial(default_theta_after_scaling(), 7));
+  PolyPrecond gls(
+      LinearOp::from_csr(s.a),
+      PolySpec{.kind = PolyKind::Gls, .degree = 7});
   const SolveReport r_gls = fgmres(s.a, s.b, x1, gls, opts);
 
   Vector x2(s.b.size(), 0.0);
-  NeumannPrecond neumann(LinearOp::from_csr(s.a), NeumannPolynomial(20, 1.0));
+  PolyPrecond neumann(
+      LinearOp::from_csr(s.a),
+      PolySpec{.kind = PolyKind::Neumann, .degree = 20});
   const SolveReport r_neu = fgmres(s.a, s.b, x2, neumann, opts);
 
   ASSERT_TRUE(r_none.converged);
@@ -148,10 +179,14 @@ TEST(Fgmres, PrecondNamesAndMatvecCounts) {
   EXPECT_EQ(IdentityPrecond{}.name(), "none");
   EXPECT_EQ(JacobiPrecond(a).name(), "Jacobi");
   EXPECT_EQ(Ilu0Precond(a).name(), "ILU(0)");
-  GlsPrecond gls(LinearOp::from_csr(a), GlsPolynomial({{0.1, 1.0}}, 7));
+  PolyPrecond gls(
+      LinearOp::from_csr(a),
+      PolySpec{.kind = PolyKind::Gls, .degree = 7, .theta = {{0.1, 1.0}}});
   EXPECT_EQ(gls.name(), "GLS(7)");
   EXPECT_EQ(gls.matvecs_per_apply(), 7);
-  NeumannPrecond neu(LinearOp::from_csr(a), NeumannPolynomial(20));
+  PolyPrecond neu(
+      LinearOp::from_csr(a),
+      PolySpec{.kind = PolyKind::Neumann, .degree = 20});
   EXPECT_EQ(neu.name(), "Neumann(20)");
   EXPECT_EQ(neu.matvecs_per_apply(), 20);
 }

@@ -38,16 +38,17 @@ TEST(Integration, Mesh1StaticAllPreconditionersAgree) {
   }
   {
     Vector x(s.b.size(), 0.0);
-    core::GlsPrecond p(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
+    core::PolyPrecond p(
+        core::LinearOp::from_csr(s.a),
+        core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
     ASSERT_TRUE(core::fgmres(s.a, s.b, x, p, opts).converged);
     solutions.push_back(s.unscale(x));
   }
   {
     Vector x(s.b.size(), 0.0);
-    core::NeumannPrecond p(core::LinearOp::from_csr(s.a),
-                           core::NeumannPolynomial(20, 1.0));
+    core::PolyPrecond p(
+        core::LinearOp::from_csr(s.a),
+        core::PolySpec{.kind = core::PolyKind::Neumann, .degree = 20});
     ASSERT_TRUE(core::fgmres(s.a, s.b, x, p, opts).converged);
     solutions.push_back(s.unscale(x));
   }
@@ -70,9 +71,9 @@ TEST(Integration, Gls7CompetitiveWithIlu0OnMesh1) {
   core::Ilu0Precond ilu(s.a);
   const auto r_ilu = core::fgmres(s.a, s.b, x1, ilu, opts);
   Vector x2(s.b.size(), 0.0);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
+  core::PolyPrecond gls(
+      core::LinearOp::from_csr(s.a),
+      core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
   const auto r_gls = core::fgmres(s.a, s.b, x2, gls, opts);
   ASSERT_TRUE(r_ilu.converged && r_gls.converged);
   // "completely comparable": allow a 2x band rather than strict order.
@@ -112,9 +113,9 @@ TEST(Integration, PoissonOnTriMeshSolves) {
 
   const core::ScaledSystem s = core::scale_system(k, f);
   Vector x(s.b.size(), 0.0);
-  core::GlsPrecond p(core::LinearOp::from_csr(s.a),
-                     core::GlsPolynomial(core::default_theta_after_scaling(),
-                                         5));
+  core::PolyPrecond p(
+      core::LinearOp::from_csr(s.a),
+      core::PolySpec{.kind = core::PolyKind::Gls, .degree = 5});
   core::SolveOptions opts;
   opts.tol = 1e-8;
   const auto res = core::fgmres(s.a, s.b, x, p, opts);

@@ -9,8 +9,8 @@
 #include "core/gls_poly.hpp"
 #include "core/intervals.hpp"
 #include "core/neumann.hpp"
-#include "core/operator.hpp"
 #include "core/orthopoly.hpp"
+#include "core/precond.hpp"
 #include "sparse/generators.hpp"
 
 namespace pfem::core {
@@ -73,13 +73,18 @@ TEST(OrthoBasis, OrthonormalUnderDiscreteMeasure) {
   }
 }
 
-TEST(OrthoBasis, EvalAllMatchesNodeValues) {
-  const QuadratureRule rule = chebyshev_rule({{0.5, 1.5}}, 64);
-  const OrthoBasis basis(rule, 5);
-  const Vector v = basis.eval_all(rule.nodes[10]);
-  for (int i = 0; i <= 5; ++i)
-    EXPECT_NEAR(v[static_cast<std::size_t>(i)], basis.node_values(i)[10],
-                1e-12);
+TEST(OrthoBasis, RecurrenceMatchesNodeValues) {
+  // The φ recurrence the polynomial runs reproduces the basis values
+  // stored at the construction nodes: P(λ_j) = Σ μ_i φ_i(λ_j).
+  const GlsPolynomial p({{0.5, 1.5}}, 5);
+  const OrthoBasis& basis = p.basis();
+  for (const std::size_t j : {3, 10, 40}) {
+    real_t expect = 0.0;
+    for (int i = 0; i <= 5; ++i)
+      expect += p.mu()[static_cast<std::size_t>(i)] * basis.node_values(i)[j];
+    EXPECT_NEAR(p.eval(basis.nodes()[j]), expect,
+                1e-12 * (1.0 + std::abs(expect)));
+  }
 }
 
 TEST(OrthoBasis, ChebyshevRuleCoversIntervals) {
@@ -122,10 +127,11 @@ TEST(Neumann, PowerCoeffsConsistentWithEval) {
 TEST(Neumann, ApplyOnDiagonalMatrixMatchesScalarEval) {
   const Vector eigs{0.1, 0.3, 0.6, 0.95};
   const sparse::CsrMatrix a = sparse::diagonal_matrix(eigs);
-  const LinearOp op = LinearOp::from_csr(a);
   const NeumannPolynomial p(10, 1.0);
+  PolyPrecond pc(LinearOp::from_csr(a),
+                 PolySpec{.kind = PolyKind::Neumann, .degree = 10});
   Vector v(4, 1.0), z(4);
-  p.apply(op, v, z);
+  pc.apply(v, z);
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_NEAR(z[i], p.eval(eigs[i]), 1e-12);
 }
@@ -173,10 +179,12 @@ TEST(Gls, WeightedL2ResidualMonotoneInDegree) {
 TEST(Gls, ApplyOnDiagonalMatrixMatchesScalarEval) {
   const Vector eigs{0.15, 0.4, 1.1, 2.2};
   const sparse::CsrMatrix a = sparse::diagonal_matrix(eigs);
-  const LinearOp op = LinearOp::from_csr(a);
   const GlsPolynomial p({{0.1, 2.5}}, 7);
+  PolyPrecond pc(
+      LinearOp::from_csr(a),
+      PolySpec{.kind = PolyKind::Gls, .degree = 7, .theta = {{0.1, 2.5}}});
   Vector v{1.0, -2.0, 0.5, 3.0}, z(4);
-  p.apply(op, v, z);
+  pc.apply(v, z);
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_NEAR(z[i], p.eval(eigs[i]) * v[i], 1e-10);
 }
@@ -271,17 +279,18 @@ TEST_P(GlsDegreeSweep, PreconditionedSpectrumInsideUnitDisc) {
 TEST_P(GlsDegreeSweep, ApplyIsLinear) {
   const int m = GetParam();
   const sparse::CsrMatrix a = sparse::tridiag(12, 0.6, -0.15);
-  const LinearOp op = LinearOp::from_csr(a);
-  const GlsPolynomial p({{0.05, 1.0}}, m);
+  PolyPrecond p(
+      LinearOp::from_csr(a),
+      PolySpec{.kind = PolyKind::Gls, .degree = m, .theta = {{0.05, 1.0}}});
   Vector u(12), v(12), zu(12), zv(12), zsum(12), uv(12);
   for (std::size_t i = 0; i < 12; ++i) {
     u[i] = std::sin(double(i) + 1.0);
     v[i] = std::cos(2.0 * double(i));
     uv[i] = 2.0 * u[i] - 3.0 * v[i];
   }
-  p.apply(op, u, zu);
-  p.apply(op, v, zv);
-  p.apply(op, uv, zsum);
+  p.apply(u, zu);
+  p.apply(v, zv);
+  p.apply(uv, zsum);
   for (std::size_t i = 0; i < 12; ++i)
     EXPECT_NEAR(zsum[i], 2.0 * zu[i] - 3.0 * zv[i], 1e-11);
 }

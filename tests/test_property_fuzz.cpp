@@ -190,9 +190,9 @@ TEST_P(FuzzSeed, RandomSpdSystemsThroughSequentialSolvers) {
   opts.max_iters = 20000;
 
   Vector x1(b.size(), 0.0);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           5));
+  core::PolyPrecond gls(
+      core::LinearOp::from_csr(s.a),
+      core::PolySpec{.kind = core::PolyKind::Gls, .degree = 5});
   ASSERT_TRUE(core::fgmres(s.a, s.b, x1, gls, opts).converged);
   const Vector u1 = s.unscale(x1);
 

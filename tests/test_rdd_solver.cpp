@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/error.hpp"
 #include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
@@ -174,6 +177,38 @@ TEST(RddSolver, MoreRanksMoreMessagesPerExchange) {
     for (const auto& c : res.rank_counters) msgs8 += c.neighbor_msgs;
   }
   EXPECT_GT(msgs8, msgs2);
+}
+
+TEST(RddSolver, ValidatesThePolySpecLikeEdd) {
+  // One build path: every spec validate_poly_spec refuses is refused by
+  // solve_rdd too (before any rank starts), with the same message.
+  const fem::CantileverProblem prob = test_problem();
+  const partition::RddPartition part = exp::make_rdd(prob, 2);
+  const std::vector<PolySpec> bad = {
+      {.kind = PolyKind::Neumann, .degree = 0},
+      {.kind = PolyKind::Gls, .degree = 7, .theta = {{-0.5, 1.0}}},
+      {.kind = PolyKind::Chebyshev, .degree = 4, .theta = {}},
+      {.kind = PolyKind::Chebyshev,
+       .degree = 4,
+       .theta = {{0.1, 0.5}, {0.7, 1.9}}},
+  };
+  for (const PolySpec& spec : bad) {
+    std::string expected;
+    try {
+      validate_poly_spec(spec);
+    } catch (const Error& e) {
+      expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty()) << spec.name();
+    RddOptions rdd;
+    rdd.poly = spec;
+    try {
+      (void)solve_rdd(part, prob.load, rdd);
+      ADD_FAILURE() << spec.name() << ": expected pfem::Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << spec.name();
+    }
+  }
 }
 
 }  // namespace

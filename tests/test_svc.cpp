@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/error.hpp"
@@ -136,8 +138,9 @@ TEST(BuildOperator, ProducesScaledMatricesAndPrebuiltPolynomial) {
   const auto op = core::build_edd_operator(team, *s.part, s.poly);
   ASSERT_EQ(op.kern.size(), static_cast<std::size_t>(kRanks));
   ASSERT_EQ(op.d.size(), static_cast<std::size_t>(kRanks));
-  EXPECT_NE(op.gls, nullptr);
-  EXPECT_EQ(op.cheb, nullptr);
+  ASSERT_NE(op.poly, nullptr);
+  EXPECT_EQ(op.poly->spec().kind, core::PolyKind::Gls);
+  EXPECT_EQ(op.poly->steps(), s.poly.degree);
   EXPECT_GT(op.setup_seconds, 0.0);
   ASSERT_EQ(op.setup_counters.size(), static_cast<std::size_t>(kRanks));
   // Each rank did the scaling exchange and was charged the poly build.
@@ -564,6 +567,43 @@ TEST(Service, RejectsUnknownOperatorAndBadRequests) {
   ASSERT_TRUE(std::holds_alternative<svc::Rejected>(wrong));
   EXPECT_EQ(std::get<svc::Rejected>(wrong).reason,
             svc::RejectReason::BadRequest);
+  service.shutdown();
+}
+
+TEST(Service, NonFiniteRhsIsRejectedAndBatchMatesStillComplete) {
+  // A NaN or inf RHS entry is refused at admission, before it can join a
+  // fused batch; the finite requests queued beside it solve normally.
+  const Scene s = make_scene();
+  svc::ServiceConfig cfg;
+  cfg.nranks = kRanks;
+  svc::Service service(cfg);
+  service.register_operator("op", s.part, s.poly);
+  service.set_paused(true);
+  std::vector<std::future<svc::Outcome>> good;
+  std::vector<std::future<svc::Outcome>> bad;
+  good.push_back(service.submit(make_request(s, "op")).outcome);
+  for (const real_t poison : {std::numeric_limits<real_t>::quiet_NaN(),
+                              std::numeric_limits<real_t>::infinity()}) {
+    svc::SolveRequest req = make_request(s, "op", 2.0);
+    req.rhs.front()[3] = poison;
+    bad.push_back(service.submit(std::move(req)).outcome);
+  }
+  good.push_back(service.submit(make_request(s, "op", 3.0)).outcome);
+  service.set_paused(false);
+  for (auto& f : bad) {
+    const svc::Outcome o = f.get();
+    ASSERT_TRUE(std::holds_alternative<svc::Rejected>(o));
+    EXPECT_EQ(std::get<svc::Rejected>(o).reason,
+              svc::RejectReason::BadRequest);
+  }
+  for (auto& f : good) {
+    const svc::Outcome o = f.get();
+    ASSERT_TRUE(svc::ok(o));
+    const auto& done = std::get<svc::Completed>(o);
+    ASSERT_EQ(done.result.items.size(), 1u);
+    EXPECT_TRUE(done.result.items.front().converged);
+    for (const real_t v : done.result.x.front()) ASSERT_TRUE(std::isfinite(v));
+  }
   service.shutdown();
 }
 

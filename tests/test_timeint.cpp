@@ -120,9 +120,9 @@ TEST(DynamicDriver, SequentialRunsAndConverges) {
   const DynamicRunResult res = run_dynamic_sequential(
       prob.stiffness, m, prob.load, opts,
       [](const sparse::CsrMatrix& a) {
-        return std::make_unique<core::GlsPrecond>(
+        return std::make_unique<core::PolyPrecond>(
             core::LinearOp::from_csr(a),
-            core::GlsPolynomial(core::default_theta_after_scaling(), 7));
+            core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
       });
   EXPECT_TRUE(res.all_converged);
   ASSERT_EQ(res.iterations_per_step.size(), 4u);
@@ -172,9 +172,9 @@ TEST(DynamicDriver, EffectiveSystemBetterConditionedThanStatic) {
   const core::ScaledSystem stat =
       core::scale_system(prob.stiffness, prob.load);
   Vector x1(stat.b.size(), 0.0);
-  core::GlsPrecond p1(core::LinearOp::from_csr(stat.a),
-                      core::GlsPolynomial(core::default_theta_after_scaling(),
-                                          7));
+  core::PolyPrecond p1(
+      core::LinearOp::from_csr(stat.a),
+      core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
   const core::SolveReport r_static =
       core::fgmres(stat.a, stat.b, x1, p1, sopts);
 
@@ -183,9 +183,9 @@ TEST(DynamicDriver, EffectiveSystemBetterConditionedThanStatic) {
   const Newmark nm(prob.stiffness, m, nopts);
   const core::ScaledSystem dyn = core::scale_system(nm.k_eff(), prob.load);
   Vector x2(dyn.b.size(), 0.0);
-  core::GlsPrecond p2(core::LinearOp::from_csr(dyn.a),
-                      core::GlsPolynomial(core::default_theta_after_scaling(),
-                                          7));
+  core::PolyPrecond p2(
+      core::LinearOp::from_csr(dyn.a),
+      core::PolySpec{.kind = core::PolyKind::Gls, .degree = 7});
   const core::SolveReport r_dyn = core::fgmres(dyn.a, dyn.b, x2, p2, sopts);
 
   ASSERT_TRUE(r_static.converged && r_dyn.converged);
