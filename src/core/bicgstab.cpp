@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 
 #include "common/error.hpp"
 #include "core/edd_kernels.hpp"
@@ -12,24 +11,13 @@ namespace pfem::core {
 
 namespace {
 
-/// The vector operations one BiCGSTAB form supplies: the operator, the
-/// preconditioner, their inner product and norm, vector-work accounting
-/// and the per-iteration report.
-struct BicgstabOps {
-  std::function<void(const Vector&, Vector&)> matvec, precond;
-  std::function<real_t(const Vector&, const Vector&)> dot;
-  std::function<real_t(const Vector&)> norm;
-  std::function<void(std::uint64_t flops, std::uint64_t updates)> charge;
-  std::function<void(index_t iterations, real_t relres)> record;
-};
-
 /// The BiCGSTAB iteration of both forms: from x and its residual r
 /// (‖r‖ = beta0 > 0) until the recursive residual meets opts.tol or
 /// max_iters is reached.  A breakdown — ⟨r̂,r⟩ ≈ 0, ⟨r̂,v⟩ ≈ 0, ‖t‖ = 0 or
 /// ω ≈ 0 — stops it and returns true.  Either way the caller's final
 /// true residual decides convergence.
-bool bicgstab_iterate(const BicgstabOps& ops, std::span<real_t> x, Vector& r,
-                      real_t beta0, const SolveOptions& opts,
+bool bicgstab_iterate(const detail::ShortOps& ops, std::span<real_t> x,
+                      Vector& r, real_t beta0, const SolveOptions& opts,
                       index_t& iterations) {
   const std::size_t n = r.size();
   Vector rhat(r), p(n, 0.0), v(n, 0.0), phat(n), shat(n), s(n), t(n);
@@ -88,46 +76,7 @@ bool bicgstab_iterate(const BicgstabOps& ops, std::span<real_t> x, Vector& r,
 SolveReport bicgstab(const LinearOp& a, std::span<const real_t> b,
                      std::span<real_t> x, Preconditioner& precond,
                      const SolveOptions& opts) {
-  const std::size_t n = b.size();
-  PFEM_CHECK(x.size() == n);
-  PFEM_CHECK(a.size() == as_index(n));
-
-  SolveReport result;
-  // ‖b‖ = 0: x = 0 solves exactly and any relative residual is 0/0 —
-  // return it in 0 iterations instead of iterating on NaNs.
-  if (la::nrm2(b) == 0.0) {
-    la::fill(x, 0.0);
-    result.converged = true;
-    return result;
-  }
-
-  Vector r(n);
-  a.apply(x, r);
-  la::sub(b, r, r);
-  const real_t beta0 = la::nrm2(r);
-  if (beta0 == 0.0) {
-    result.converged = true;
-    return result;
-  }
-  const BicgstabOps ops{
-      .matvec = [&](const Vector& in, Vector& out) { a.apply(in, out); },
-      .precond = [&](const Vector& in, Vector& out) { precond.apply(in, out); },
-      .dot = [](const Vector& u, const Vector& w) { return la::dot(u, w); },
-      .norm = [](const Vector& u) { return la::nrm2(u); },
-      .charge = [](std::uint64_t, std::uint64_t) {},
-      .record = [&](index_t, real_t relres) {
-        result.history.push_back(relres);
-      }};
-  result.breakdown =
-      bicgstab_iterate(ops, x, r, beta0, opts, result.iterations);
-
-  a.apply(x, r);
-  la::sub(b, r, r);
-  result.final_relres = la::nrm2(r) / beta0;
-  // The recursive residual only proposes convergence; the final TRUE
-  // residual decides it.
-  result.converged = result.final_relres <= opts.tol;
-  return result;
+  return detail::solve_sequential(a, b, x, precond, opts, bicgstab_iterate);
 }
 
 SolveReport bicgstab(const sparse::CsrMatrix& a, std::span<const real_t> b,
@@ -148,12 +97,10 @@ void edd_bicgstab_rank(const EddPartition& part, const EddOperatorState& op,
                        std::span<const real_t> f_global,
                        const SolveOptions& opts, par::Comm& comm, Vector& u,
                        SolveReport& report) {
-  const int rank = comm.rank();
-  const EddSubdomain& sub = part.subs[static_cast<std::size_t>(rank)];
-  EddRank r(sub, comm);
+  const auto s = static_cast<std::size_t>(comm.rank());
+  EddRank r(part.subs[s], comm);
   const std::size_t nl = r.nl();
-  const Vector& d = op.d[static_cast<std::size_t>(rank)];
-  const RankKernel& a = op.kern[static_cast<std::size_t>(rank)];
+  const RankKernel& a = op.kern[s];
   DistPoly poly(op, nl, 1, /*local=*/false);
 
   // Distributed mat-vec: global -> global (one exchange, overlapped with
@@ -164,20 +111,17 @@ void edd_bicgstab_rank(const EddPartition& part, const EddOperatorState& op,
     detail::spmv_exchange(r, a, xs, ys);
   };
 
-  // RHS in global format once and for all: b = ⊕Σ D̂ (f_loc / mult).
-  Vector b_glob = detail::scaled_local_rhs(sub, d, f_global);
+  // All vectors in global distributed format, b = ⊕Σ D̂ (f_loc / mult)
+  // once and for all.
+  Vector b_glob = detail::scaled_local_rhs(part.subs[s], op.d[s], f_global);
   r.exchange(b_glob);
-
-  // All vectors in global distributed format.
-  Vector x(nl, 0.0), rr(nl);
-  matvec(x, rr);
-  for (std::size_t l = 0; l < nl; ++l) rr[l] = b_glob[l] - rr[l];
-  const real_t beta0 = sqrt_nonneg(r.norm2_sq_global(rr));
-
-  // Every scalar the iteration branches on is allreduced, so all ranks
-  // stop together.  Rank 0's report grows per iteration, so a comm
-  // failure still leaves a truthful partial report.
-  const BicgstabOps ops{
+  const auto residual = [&](const Vector& x, Vector& res) {
+    matvec(x, res);
+    for (std::size_t l = 0; l < nl; ++l) res[l] = b_glob[l] - res[l];
+  };
+  Vector rr(nl);
+  residual(Vector(nl, 0.0), rr);
+  const detail::ShortOps ops{
       .matvec = matvec,
       .precond = [&](const Vector& in, Vector& out) {
         poly.apply(r, a, in, out);
@@ -185,38 +129,9 @@ void edd_bicgstab_rank(const EddPartition& part, const EddOperatorState& op,
       .dot = [&](const Vector& p, const Vector& q) { return r.dot_gg(p, q); },
       .norm = [&](const Vector& p) {
         return sqrt_nonneg(r.norm2_sq_global(p));
-      },
-      .charge =
-          [&](std::uint64_t flops, std::uint64_t updates) {
-            r.counters().flops += flops;
-            r.counters().vector_updates += updates;
-          },
-      .record =
-          [&](index_t iterations, real_t relres) {
-            if (rank != 0) return;
-            report.history.push_back(relres);
-            report.iterations = iterations;
-          }};
-  index_t iterations = 0;
-  const bool breakdown =
-      beta0 > 0.0 && bicgstab_iterate(ops, x, rr, beta0, opts, iterations);
-
-  // Final true residual, physical solution.
-  matvec(x, rr);
-  for (std::size_t l = 0; l < nl; ++l) rr[l] = b_glob[l] - rr[l];
-  const real_t final_relres =
-      relative_residual(sqrt_nonneg(r.norm2_sq_global(rr)), beta0);
-  u.resize(nl);
-  for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * x[l];
-
-  if (rank == 0) {
-    // The recursive residual only proposes convergence; the final TRUE
-    // residual decides it.
-    report.final_relres = final_relres;
-    report.converged = final_relres <= opts.tol;
-    report.breakdown = breakdown;
-    report.iterations = iterations;
-  }
+      }};
+  detail::short_rank_solve(r, op.d[s], ops, bicgstab_iterate, rr, residual,
+                           opts, u, report);
 }
 
 }  // namespace

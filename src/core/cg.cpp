@@ -1,6 +1,7 @@
 #include "core/cg.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "core/edd_kernels.hpp"
@@ -8,65 +9,52 @@
 
 namespace pfem::core {
 
-SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
-                std::span<real_t> x, Preconditioner& precond,
-                const SolveOptions& opts) {
-  const std::size_t n = b.size();
-  PFEM_CHECK(x.size() == n);
-  PFEM_CHECK(a.size() == as_index(n));
-  PFEM_CHECK(opts.max_iters >= 1 && opts.tol > 0.0);
+namespace {
 
-  SolveReport result;
-  // ‖b‖ = 0: x = 0 solves exactly and any relative residual is 0/0 —
-  // return it in 0 iterations instead of iterating on NaNs.
-  if (la::nrm2(b) == 0.0) {
-    la::fill(x, 0.0);
-    result.converged = true;
-    return result;
-  }
-
-  Vector r(n), z(n), p(n), ap(n);
-  a.apply(x, r);
-  la::sub(b, r, r);
-  const real_t beta0 = la::nrm2(r);
-  if (beta0 == 0.0) {
-    result.converged = true;
-    return result;
-  }
-
-  precond.apply(r, z);
+/// The PCG iteration of both forms: from x and its residual r (‖r‖ =
+/// beta0 > 0, just taken by ops.norm) until the recursive residual meets
+/// opts.tol, ⟨r,z⟩ underflows to zero or max_iters is reached.  The
+/// caller's final true residual decides convergence; PCG reports no
+/// breakdown (a non-SPD operator throws).
+bool pcg_iterate(const detail::ShortOps& ops, std::span<real_t> x, Vector& r,
+                 real_t beta0, const SolveOptions& opts, index_t& iterations) {
+  const std::size_t n = r.size();
+  Vector z(n), p(n), ap(n);
+  ops.precond(r, z);
   la::copy(z, p);
-  real_t rho = la::dot(r, z);
-
-  while (result.iterations < opts.max_iters) {
-    a.apply(p, ap);
-    const real_t pap = la::dot(p, ap);
+  real_t rho = ops.dot(r, z);
+  while (iterations < opts.max_iters) {
+    ops.matvec(p, ap);
+    const real_t pap = ops.dot(ap, p);
     PFEM_CHECK_MSG(pap > 0.0, "PCG: operator not positive definite "
                               "(p^T A p <= 0)");
     const real_t alpha = rho / pap;
     la::axpy(alpha, p, x);
     la::axpy(-alpha, ap, r);
-    ++result.iterations;
+    ops.charge(4 * n, 2);
+    ++iterations;
 
-    const real_t relres = la::nrm2(r) / beta0;
-    result.history.push_back(relres);
-    if (relres <= opts.tol) break;
+    const real_t relres = ops.norm(r) / beta0;
+    ops.record(iterations, relres);
+    if (relres <= opts.tol) return false;
 
-    precond.apply(r, z);
-    const real_t rho_new = la::dot(r, z);
-    if (rho == 0.0) break;  // <r,z> underflowed to zero: stagnated search
+    ops.precond(r, z);
+    const real_t rho_new = ops.dot(r, z);
+    if (rho == 0.0) return false;  // <r,z> underflowed: stagnated search
     const real_t beta = rho_new / rho;
     rho = rho_new;
     la::axpby(1.0, z, beta, p);  // p = z + beta p
+    ops.charge(2 * n, 1);
   }
-  Vector check(n);
-  a.apply(x, check);
-  la::sub(b, check, check);
-  result.final_relres = la::nrm2(check) / beta0;
-  // The recursive residual only proposes convergence; the final TRUE
-  // residual decides it.
-  result.converged = result.final_relres <= opts.tol;
-  return result;
+  return false;
+}
+
+}  // namespace
+
+SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
+                std::span<real_t> x, Preconditioner& precond,
+                const SolveOptions& opts) {
+  return detail::solve_sequential(a, b, x, precond, opts, pcg_iterate);
 }
 
 SolveReport pcg(const sparse::CsrMatrix& a, std::span<const real_t> b,
@@ -86,81 +74,36 @@ using partition::EddSubdomain;
 void edd_cg_rank(const EddPartition& part, const EddOperatorState& op,
                  std::span<const real_t> f_global, const SolveOptions& opts,
                  par::Comm& comm, Vector& u, SolveReport& report) {
-  const int s = comm.rank();
-  const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
-  EddRank r(sub, comm);
+  const auto s = static_cast<std::size_t>(comm.rank());
+  EddRank r(part.subs[s], comm);
   const std::size_t nl = r.nl();
-  const Vector& d = op.d[static_cast<std::size_t>(s)];
-  const RankKernel& a = op.kern[static_cast<std::size_t>(s)];
+  const RankKernel& a = op.kern[s];
   DistPoly poly(op, nl, 1, /*local=*/false);
+  const Vector b_loc =
+      detail::scaled_local_rhs(part.subs[s], op.d[s], f_global);
 
-  const Vector b_loc = detail::scaled_local_rhs(sub, d, f_global);
-
-  // ---- PCG.  x, p, z in global format; residual kept in both formats.
-  Vector x(nl, 0.0), r_loc(nl), r_glob(nl), z(nl), p(nl), ap_loc(nl);
-  la::copy(b_loc, r_loc);  // r = b - A*0
-  la::copy(r_loc, r_glob);
-  r.exchange(r_glob);
-  const real_t beta0 = sqrt_nonneg(r.dot_lg(r_loc, r_glob));
-
-  index_t iterations = 0;
-  if (beta0 > 0.0) {
-    poly.apply(r, a, r_glob, z);  // z = P(A) r  (m exchanges)
-    la::copy(z, p);
-    real_t rho = r.dot_lg(r_loc, z);
-
-    while (iterations < opts.max_iters) {
-      r.spmv(a, p, ap_loc);  // Ap in local format; p is global
-      const real_t pap = r.dot_lg(ap_loc, p);
-      PFEM_CHECK_MSG(pap > 0.0, "EDD-PCG: p^T A p <= 0");
-      const real_t alpha = rho / pap;
-      la::axpy(alpha, p, x);
-      // Update the residual in both formats: Ap_loc is local,
-      // r_glob needs one exchange of the updated r_loc.
-      la::axpy(-alpha, ap_loc, r_loc);
-      la::copy(r_loc, r_glob);
-      r.exchange(r_glob);  // the (+1) exchange of the iteration
-      r.counters().flops += 4 * nl;
-      r.counters().vector_updates += 2;
-      ++iterations;
-
-      const real_t relres = sqrt_nonneg(r.dot_lg(r_loc, r_glob)) / beta0;
-      if (s == 0) {  // grows per iteration: a truthful partial report
-        report.history.push_back(relres);
-        report.iterations = iterations;
-      }
-      if (relres <= opts.tol) break;
-
-      poly.apply(r, a, r_glob, z);  // m exchanges
-      const real_t rho_new = r.dot_lg(r_loc, z);
-      if (rho == 0.0) break;  // underflowed inner product: stagnated
-      const real_t beta = rho_new / rho;
-      rho = rho_new;
-      la::axpby(1.0, z, beta, p);
-      r.counters().flops += 2 * nl;
-      r.counters().vector_updates += 1;
-    }
-  }
-
-  // ---- Final residual and unscaled solution.
-  Vector check_loc(nl);
-  r.spmv(a, x, check_loc);
-  for (std::size_t l = 0; l < nl; ++l) check_loc[l] = b_loc[l] - check_loc[l];
-  Vector check_glob(check_loc);
-  r.exchange(check_glob);
-  const real_t final_res = sqrt_nonneg(r.dot_lg(check_loc, check_glob));
-
-  u.resize(nl);
-  for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * x[l];
-
-  if (s == 0) {
-    // The recursive residual only proposes convergence; the final TRUE
-    // residual decides it (a trivial RHS reports 0, which always meets a
-    // positive tol).
-    report.final_relres = relative_residual(final_res, beta0);
-    report.converged = report.final_relres <= opts.tol;
-    report.iterations = iterations;
-  }
+  // x, p, z in global format; r and Ap in local format, r with a global
+  // shadow that norm() refreshes (the (+1) exchange of an iteration).
+  Vector r_glob(nl), r_loc(b_loc);  // r = b - A*0
+  const detail::ShortOps ops{
+      .matvec = [&](const Vector& in, Vector& out) { r.spmv(a, in, out); },
+      .precond = [&](const Vector&, Vector& out) {
+        poly.apply(r, a, r_glob, out);  // m exchanges
+      },
+      .dot = [&](const Vector& u_loc,
+                 const Vector& v_glob) { return r.dot_lg(u_loc, v_glob); },
+      .norm = [&](const Vector& u_loc) {
+        la::copy(u_loc, r_glob);
+        r.exchange(r_glob);
+        return sqrt_nonneg(r.dot_lg(u_loc, r_glob));
+      }};
+  detail::short_rank_solve(
+      r, op.d[s], ops, pcg_iterate, r_loc,
+      [&](const Vector& x, Vector& res) {
+        r.spmv(a, x, res);
+        for (std::size_t l = 0; l < nl; ++l) res[l] = b_loc[l] - res[l];
+      },
+      opts, u, report);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/timer.hpp"
 #include "core/edd_kernels.hpp"
 #include "la/dense.hpp"
-#include "la/hessenberg_lsq.hpp"
 #include "la/vector_ops.hpp"
 
 namespace pfem::core {
@@ -36,596 +35,450 @@ struct BatchShared {
   std::vector<std::size_t> dir_count;  ///< written by the local leader
 };
 
-/// How many vectors the warm-setup phase of `opts.recycle` contributes
-/// to its ONE fused exchange for RHS b: the globalized b̂ (for ‖b̂‖),
-/// Âx̂₀ when a projection needs the warm residual, and one Âp_j per
-/// recycled direction.  0 = this RHS starts cold.
-std::size_t recycle_width(const SolveOptions& opts, std::size_t b,
-                          std::size_t n_global) {
+/// RHS b's session input, or null when it starts cold.  run_edd_fgmres
+/// has checked that every x0 and direction is a physical global vector.
+const RecycleIn* recycle_in(const SolveOptions& opts, std::size_t b) {
   if (!opts.recycle.enabled || opts.recycle.in == nullptr ||
       b >= opts.recycle.in->size())
-    return 0;
+    return nullptr;
   const RecycleIn& rin = (*opts.recycle.in)[b];
-  if (rin.empty()) return 0;
-  std::size_t k = 0;
-  for (const Vector& p : rin.directions)
-    if (p.size() == n_global) ++k;
-  k = std::min(k, static_cast<std::size_t>(
-                      std::max<index_t>(opts.recycle.max_directions, 0)));
-  const bool has_x0 = rin.x0.size() == n_global;
-  return 1 + k + (k > 0 && has_x0 ? 1 : 0);
+  return rin.empty() ? nullptr : &rin;
 }
 
-/// One rank of the EDD-FGMRES engine (Algorithm 5 when `basic`,
-/// Algorithm 6 otherwise) over every RHS of the batch in lockstep.
-/// Basic keeps x, the Arnoldi basis and the preconditioned vectors in
-/// local format; Enhanced keeps them in global format.  Each exchange
-/// and reduction below is ONE fused operation for all lanes it covers,
-/// so at width 1 the message and reduction sequence is the plain
-/// single-RHS algorithm's.
-void rank_solve(const EddPartition& part, const EddOperatorState& op,
-                std::span<const Vector> rhs, const SolveOptions& opts,
-                bool basic, bool batched_reductions, par::Comm& comm,
-                BatchShared& out) {
-  const int s = comm.rank();
-  // Shared per-process result state is written by the LOCAL leader (rank
-  // 0 in-process; each process's lowest rank on a multi-process
-  // transport).  Every value written under this guard derives from
-  // allreduced scalars, so all leaders write bit-identical results and
-  // every process ends up with a full copy of the per-RHS reports.
-  const int leader = comm.local_leader();
-  const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
-  const std::size_t nb = rhs.size();
-  // Widest fused exchange this solve will issue: the per-iteration batch
-  // (nb), or the recycle warm-setup exchange when sessions are active.
-  std::size_t prewidth = 0;
+/// The recycled directions a session input contributes: the most recent
+/// max_directions.
+std::span<const Vector> kept_directions(const SolveOptions& opts,
+                                        const RecycleIn& rin) {
+  const auto k = std::min(rin.directions.size(),
+                          static_cast<std::size_t>(std::max<index_t>(
+                              opts.recycle.max_directions, 0)));
+  return std::span(rin.directions).last(k);
+}
+
+/// Width of the session warm setup's ONE fused exchange: per warm RHS the
+/// globalized b̂ (for ‖b̂‖), one Âp_j per kept direction, and Âx̂₀ when a
+/// projection needs the warm residual.  0 = every RHS starts cold.
+std::size_t warm_width(const SolveOptions& opts, std::size_t nb) {
+  std::size_t w = 0;
   for (std::size_t b = 0; b < nb; ++b)
-    prewidth +=
-        recycle_width(opts, b, static_cast<std::size_t>(part.n_global));
-  EddRank r(sub, comm, std::max(nb, prewidth));
-  obs::Tracer* const tr = comm.tracer();
-  const std::size_t nl = r.nl();
-  const index_t m = opts.restart;
-  const Vector& d = op.d[static_cast<std::size_t>(s)];
-  const RankKernel& a = op.kern[static_cast<std::size_t>(s)];
-  OBS_SPAN(tr, "solve_batch", obs::Cat::Solve,
-           static_cast<std::uint32_t>(nb));
-
-  // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
-  std::vector<Vector> b_loc;
-  for (const Vector& f : rhs)
-    b_loc.push_back(detail::scaled_local_rhs(sub, d, f));
-  r.counters().flops += nb * nl;
-
-  // Per-RHS solver state.
-  std::vector<Vector> x(nb, Vector(nl, 0.0));
-  std::vector<Vector> r_loc(nb, Vector(nl)), r_glob(nb, Vector(nl));
-  std::vector<Vector> w_loc(nb, Vector(nl)), w_glob(nb, Vector(nl));
-  std::vector<std::vector<Vector>> v(nb), z(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    v[b].assign(static_cast<std::size_t>(m) + 1, Vector(nl));
-    z[b].assign(static_cast<std::size_t>(m), Vector(nl));
-  }
-  std::vector<Vector> h(nb, Vector(static_cast<std::size_t>(m) + 2));
-  std::vector<Vector> h2(nb, Vector(static_cast<std::size_t>(m) + 2));
-  std::vector<std::optional<la::HessenbergLsq>> lsq(nb);
-  std::vector<char> done(nb, 0), frozen(nb, 0), brk(nb, 0);
-  std::vector<index_t> iters(nb, 0), jcols(nb, 0);
-  std::vector<real_t> beta0(nb, -1.0), relres(nb, 1.0);
-
-  DistPoly poly(op, nl, nb, /*local=*/basic);
-
-  // Two-level deflation, prebuilt by build_edd_operator and cached with
-  // the operator: the A-DEF1 correction costs the whole batch ONE small
-  // allreduce (every live RHS's coarse residual in one buffer) per
-  // preconditioner application, plus — Enhanced only — ONE fused
-  // exchange globalizing the ÂZy corrections.
-  const CoarseOperator* const coarse = op.coarse.get();
-  std::optional<DeflationRank> defl;
-  std::vector<Vector> zy, vdef;
-  Vector cbuf;
-  if (coarse != nullptr) {
-    Vector w(nl);  // Z weights 1/d̂: the scaled operator's near-null basis
-    for (std::size_t l = 0; l < nl; ++l) w[l] = 1.0 / d[l];
-    defl.emplace(sub, s, part.nparts(), op.deflation, w);
-    zy.assign(nb, Vector(nl));
-    vdef.assign(nb, Vector(nl));
-  }
-
-  std::vector<Vector*> ex, ey;     // fused-exchange / mat-vec output views
-  std::vector<const Vector*> pv;   // preconditioner inputs
-  std::vector<Vector*> pz;         // preconditioner outputs
-  Vector red;                      // reduction buffer
-  std::vector<std::size_t> all, cyc, next, live;
-  ex.reserve(std::max(nb, prewidth));
-  ey.reserve(nb);
-  pv.reserve(nb);
-  pz.reserve(nb);
-  for (std::size_t b = 0; b < nb; ++b) all.push_back(b);
-
-  // r_b = b_b − Â x_b in both formats for `lanes`, and red[i] = ‖r_b‖²:
-  // one fused exchange (Basic first globalizes a copy of its local-format
-  // x with one more) and one allreduce.
-  const auto residuals = [&](std::span<const std::size_t> lanes) {
-    ex.clear();
-    ey.clear();
-    for (const std::size_t b : lanes) {
-      if (basic) {
-        la::copy(x[b], r_glob[b]);
-        ex.push_back(&r_glob[b]);
-        ey.push_back(&r_loc[b]);
-      } else {
-        r.spmv(a, x[b], r_loc[b]);
-      }
+    if (const RecycleIn* rin = recycle_in(opts, b)) {
+      const std::size_t k = kept_directions(opts, *rin).size();
+      w += 1 + k + (k > 0 && !rin->x0.empty() ? 1 : 0);
     }
-    if (basic) detail::exchange_spmv(r, a, ex, ey);
-    ex.clear();
-    for (const std::size_t b : lanes) {
-      for (std::size_t l = 0; l < nl; ++l)
-        r_loc[b][l] = b_loc[b][l] - r_loc[b][l];
-      r.counters().flops += nl;
-      la::copy(r_loc[b], r_glob[b]);
-      ex.push_back(&r_glob[b]);
+  return w;
+}
+
+/// The EDD space of the FGMRES engine on one rank (Algorithm 5 when
+/// `basic`, Algorithm 6 otherwise).  Basic keeps x, the Arnoldi basis and
+/// the preconditioned vectors in local format; Enhanced keeps them in
+/// global format.  r and w have an other-format shadow here (loc/glob
+/// below), and each exchange and reduction is ONE fused operation for all
+/// lanes it covers, so at width 1 the message and reduction sequence is
+/// the plain single-RHS algorithm's.
+class EddSpace final : public detail::KrylovSpace {
+ public:
+  EddSpace(const EddPartition& part, const EddOperatorState& op,
+           std::span<const Vector> rhs, const SolveOptions& opts, bool basic,
+           par::Comm& comm, BatchShared& out)
+      : opts_(opts),
+        basic_(basic),
+        comm_(comm),
+        out_(out),
+        s_(comm.rank()),
+        sub_(part.subs[static_cast<std::size_t>(s_)]),
+        nb_(rhs.size()),
+        prewidth_(warm_width(opts, nb_)),
+        r_(sub_, comm, std::max(nb_, prewidth_)),
+        nl_(r_.nl()),
+        d_(op.d[static_cast<std::size_t>(s_)]),
+        a_(op.kern[static_cast<std::size_t>(s_)]),
+        poly_(op, nl_, nb_, /*local=*/basic),
+        coarse_(op.coarse.get()),
+        kmax_(static_cast<std::size_t>(
+            std::max<index_t>(opts.recycle.max_directions, 0))),
+        harvest_(opts.recycle.enabled && opts.recycle.harvest && kmax_ > 0),
+        harvested_(nb_, 0),
+        rs_(nb_, Vector(nl_)),
+        ws_(nb_, Vector(nl_)) {
+    // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
+    for (const Vector& f : rhs)
+      b_loc_.push_back(detail::scaled_local_rhs(sub_, d_, f));
+    r_.counters().flops += nb_ * nl_;
+    // Two-level deflation, prebuilt by build_edd_operator and cached with
+    // the operator: the A-DEF1 correction costs the whole batch ONE small
+    // allreduce (every live RHS's coarse residual in one buffer) per
+    // preconditioner application, plus — Enhanced only — ONE fused
+    // exchange globalizing the ÂZy corrections.
+    if (coarse_ != nullptr) {
+      Vector w(nl_);  // Z weights 1/d̂: the scaled operator's near-null basis
+      for (std::size_t l = 0; l < nl_; ++l) w[l] = 1.0 / d_[l];
+      defl_.emplace(sub_, s_, part.nparts(), op.deflation, w);
+      zy_.assign(nb_, Vector(nl_));
+      vdef_.assign(nb_, Vector(nl_));
     }
-    r.exchange_many(ex);
-    red.resize(lanes.size());
+  }
+
+  [[nodiscard]] std::size_t size() const override { return nl_; }
+  [[nodiscard]] bool leader() const override {
+    // Shared per-process result state is written by the LOCAL leader
+    // (rank 0 in-process; each process's lowest rank on a multi-process
+    // transport).  Every value it writes derives from allreduced scalars,
+    // so all leaders write bit-identical results.
+    return s_ == comm_.local_leader();
+  }
+  [[nodiscard]] obs::Tracer* tracer() override { return comm_.tracer(); }
+
+  void start(State ln, std::span<real_t> beta0) override;
+
+  // r = b − Â x in both formats: one fused exchange (Basic first
+  // globalizes a copy of its local-format x with one more).
+  void residual(Lanes lanes, State ln, std::span<real_t> red) override {
+    const auto r = [&](std::size_t b) -> Vector& { return ln[b].v[0]; };
+    spmv_lanes(lanes, [&](std::size_t b) -> Vector& { return ln[b].x; }, r,
+               rs_);
+    for (const std::size_t b : lanes) {
+      Vector& rl = loc(r(b), rs_[b]);
+      for (std::size_t l = 0; l < nl_; ++l) rl[l] = b_loc_[b][l] - rl[l];
+      r_.counters().flops += nl_;
+    }
+    globalize(lanes, r, rs_);
     for (std::size_t i = 0; i < lanes.size(); ++i)
-      red[i] = r.dot_lg_partial(r_loc[lanes[i]], r_glob[lanes[i]]);
-    comm.allreduce_sum(red);
+      red[i] = r_.dot_lg_partial(rs_[lanes[i]], r(lanes[i]));
+  }
+
+  // z = B v, then w = Â z in both formats.  Basic globalizes z first (+1)
+  // and then w (+1); Enhanced, whose z is global, only w (+1).
+  void step(Lanes lanes, std::size_t j, State ln) override {
+    precondition(lanes, j, ln);
+    const auto w = [&](std::size_t b) -> Vector& { return ln[b].w; };
+    spmv_lanes(lanes, [&](std::size_t b) -> Vector& { return ln[b].z[j]; },
+               w, ws_);
+    globalize(lanes, w, ws_);
+    stale_ = false;
+  }
+
+  // h_k = ⊕Σ <ŵ_loc, v̂_k,glob> (Eq. 33; Eq. 34 with the formats swapped
+  // for Basic).  Basic subtracts from its local-format w, so it refreshes
+  // a stale global shadow with one more exchange; Enhanced uses its local
+  // shadow while fresh, the 1/mult-weighted dot on its global w after.
+  void dots(Lanes lanes, std::size_t nk, State ln,
+            std::span<real_t> red) override {
+    refresh(lanes, ln);
+    for (std::size_t i = 0; i < lanes.size(); ++i)  // lane-major: w stays hot
+      for (std::size_t k = 0; k < nk; ++k) {
+        const std::size_t b = lanes[i];
+        const Vector& v = ln[b].v[k];
+        red[k * lanes.size() + i] =
+            basic_   ? r_.dot_lg_partial(v, ws_[b])
+            : stale_ ? r_.dot_gg_partial(ln[b].w, v)
+                     : r_.dot_lg_partial(ws_[b], v);
+      }
+    stale_ = true;
+  }
+
+  void norms(Lanes lanes, State ln, std::span<real_t> red) override {
+    refresh(lanes, ln);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const Vector& w = ln[lanes[i]].w;
+      red[i] = basic_ ? r_.dot_lg_partial(w, ws_[lanes[i]])
+                      : r_.dot_gg_partial(w, w);
+    }
+  }
+
+  void reduce(std::span<real_t> red) override { comm_.allreduce_sum(red); }
+
+  void charge(std::uint64_t axpys, std::uint64_t scalings) override {
+    r_.counters().flops += (2 * axpys + scalings) * nl_;
+    r_.counters().vector_updates += axpys + scalings;
+  }
+
+  // Deposit this cycle's physical update Δu = D̂·Z y into the harvest
+  // ring.  The slot index derives from the deterministic cycle count, so
+  // every rank writes its own piece of the SAME slot and the ring keeps
+  // the most recent kmax cycles.
+  void cycle_update(std::size_t b, std::span<const real_t> y,
+                    const detail::KrylovLane& ln) override {
+    if (!harvest_) return;
+    Vector du(nl_, 0.0);
+    for (std::size_t k = 0; k < y.size(); ++k) la::axpy(y[k], ln.z[k], du);
+    for (std::size_t l = 0; l < nl_; ++l) du[l] *= d_[l];
+    out_.dirs[b][harvested_[b]++ % kmax_][static_cast<std::size_t>(s_)] =
+        std::move(du);
+  }
+
+  // Solutions in physical variables u = D x (Basic globalizes its
+  // local-format x with one exchange).
+  void finish(State ln) override {
+    const auto x = [&](std::size_t b) -> Vector& { return ln[b].x; };
+    std::vector<std::size_t> all(nb_);
+    for (std::size_t b = 0; b < nb_; ++b) all[b] = b;
+    if (basic_) globalize(all, x, ws_);
+    for (std::size_t b = 0; b < nb_; ++b) {
+      const Vector& xg = glob(x(b), ws_[b]);
+      Vector u(nl_);
+      for (std::size_t l = 0; l < nl_; ++l) u[l] = d_[l] * xg[l];
+      out_.sol[b][static_cast<std::size_t>(s_)] = std::move(u);
+    }
+    if (harvest_ && leader())
+      for (std::size_t b = 0; b < nb_; ++b) out_.dir_count[b] = harvested_[b];
+  }
+
+ private:
+  // The local- and global-format copies of an engine vector e (in the
+  // basis format) and its shadow s.
+  Vector& loc(Vector& e, Vector& s) const { return basic_ ? e : s; }
+  Vector& glob(Vector& e, Vector& s) const { return basic_ ? s : e; }
+
+  // loc(e, s) = Â u for the lanes, u in the basis format: Enhanced's
+  // global u goes straight into the kernel; Basic globalizes a copy of
+  // its local u in the shadow first (+1 exchange).
+  void spmv_lanes(Lanes lanes, const auto& u, const auto& e,
+                  std::vector<Vector>& s) {
+    ex_.clear();
+    ey_.clear();
+    for (const std::size_t b : lanes) {
+      if (!basic_) {
+        r_.spmv(a_, u(b), s[b]);
+        continue;
+      }
+      la::copy(u(b), s[b]);
+      ex_.push_back(&s[b]);
+      ey_.push_back(&e(b));
+    }
+    if (basic_) detail::exchange_spmv(r_, a_, ex_, ey_);
+  }
+
+  // glob(e, s) = ⊕Σ loc(e, s) for the lanes: one fused exchange.
+  void globalize(Lanes lanes, const auto& e, std::vector<Vector>& s) {
+    ex_.clear();
+    for (const std::size_t b : lanes) {
+      la::copy(loc(e(b), s[b]), glob(e(b), s[b]));
+      ex_.push_back(&glob(e(b), s[b]));
+    }
+    r_.exchange_many(ex_);
+  }
+
+  // Basic's global shadow of w after the engine changed w.
+  void refresh(Lanes lanes, State ln) {
+    if (!basic_ || !stale_) return;
+    globalize(lanes, [&](std::size_t b) -> Vector& { return ln[b].w; }, ws_);
+    stale_ = false;
+  }
+
+  void precondition(Lanes lanes, std::size_t j, State ln);
+
+  const SolveOptions& opts_;
+  const bool basic_;
+  par::Comm& comm_;
+  BatchShared& out_;
+  const int s_;
+  const EddSubdomain& sub_;
+  const std::size_t nb_, prewidth_;
+  EddRank r_;
+  const std::size_t nl_;
+  const Vector& d_;
+  const RankKernel& a_;
+  DistPoly poly_;
+  const CoarseOperator* const coarse_;
+  std::optional<DeflationRank> defl_;
+  const std::size_t kmax_;
+  const bool harvest_;
+  std::vector<std::size_t> harvested_;
+  std::vector<Vector> b_loc_;
+  std::vector<Vector> rs_, ws_;  ///< other-format shadows of r and w
+  bool stale_ = false;           ///< the engine changed w since step()
+  std::vector<Vector> zy_, vdef_;
+  Vector cbuf_;
+  std::vector<Vector*> ex_, ey_;   // fused-exchange / mat-vec output views
+  std::vector<const Vector*> pv_;  // preconditioner inputs
+  std::vector<Vector*> pz_;        // preconditioner outputs
+};
+
+// z = B v for the lanes: the polynomial, wrapped in the A-DEF1 coarse
+// correction B v = M (v − ÂQv) + Qv (Q = ZE⁻¹Zᵀ) when deflating.  Zy is
+// globally consistent by construction, so ÂZy comes out in local format:
+// Basic subtracts it from its local-format v as is, Enhanced globalizes
+// it first.
+void EddSpace::precondition(Lanes lanes, std::size_t j, State ln) {
+  obs::Tracer* const tr = comm_.tracer();
+  pv_.clear();
+  pz_.clear();
+  for (const std::size_t b : lanes) {
+    pv_.push_back(&ln[b].v[j]);
+    pz_.push_back(&ln[b].z[j]);
+  }
+  const auto nc = defl_ ? static_cast<std::size_t>(defl_->ncoarse()) : 0;
+  if (defl_) {
+    OBS_SPAN(tr, "coarse_correct", obs::Cat::Precond,
+             static_cast<std::uint32_t>(lanes.size()));
+    cbuf_.assign(lanes.size() * nc, 0.0);
+    const std::span<real_t> call(cbuf_);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      if (basic_)
+        defl_->restrict_local(*pv_[i], call.subspan(i * nc, nc));
+      else
+        defl_->restrict_global(*pv_[i], call.subspan(i * nc, nc));
+      r_.counters().flops += 2 * nl_;
+    }
+    comm_.allreduce_sum(call);
+    ex_.clear();
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const std::size_t b = lanes[i];
+      const auto c = call.subspan(i * nc, nc);
+      coarse_->solve(c);  // y = E⁻¹Zᵀv, bit-identical on every rank
+      r_.counters().coarse_solves += 1;
+      r_.counters().flops += coarse_->solve_flops();
+      defl_->prolong_global(c, zy_[b]);
+      r_.counters().flops += nl_;
+      r_.spmv(a_, zy_[b], vdef_[b]);
+      if (!basic_) ex_.push_back(&vdef_[b]);
+    }
+    r_.exchange_many(ex_);  // no-op for Basic: ex stays empty
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const std::size_t b = lanes[i];
+      const Vector& vin = *pv_[i];
+      for (std::size_t l = 0; l < nl_; ++l) vdef_[b][l] = vin[l] - vdef_[b][l];
+      r_.counters().flops += nl_;
+      r_.counters().vector_updates += 1;
+      pv_[i] = &vdef_[b];
+    }
+  }
+  {
+    OBS_SPAN(tr, "poly_apply", obs::Cat::Precond);
+    poly_.apply(r_, a_, pv_, pz_);
+  }
+  if (!defl_) return;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const std::size_t b = lanes[i];
+    if (basic_) {
+      // Zy once more, in local format this time.
+      defl_->prolong_local(
+          std::span<const real_t>(cbuf_).subspan(i * nc, nc), zy_[b]);
+      r_.counters().flops += nl_;
+    }
+    Vector& zout = *pz_[i];
+    for (std::size_t l = 0; l < nl_; ++l) zout[l] += zy_[b][l];
+    r_.counters().flops += nl_;
+    r_.counters().vector_updates += 1;
+  }
+}
+
+// Solve-session warm setup (opts.recycle): warm-start guesses, recycled-
+// direction projection, and the ‖b̂‖ convergence reference.  ALL the
+// extra session traffic is ONE fused exchange plus ONE allreduce for the
+// whole batch; stateless solves (no warm width) skip this entirely —
+// exchange count for exchange count (the Table-1 contract).
+void EddSpace::start(State ln, std::span<real_t> beta0) {
+  if (prewidth_ == 0) return;
+  OBS_SPAN(comm_.tracer(), "recycle_setup", obs::Cat::Setup,
+           static_cast<std::uint32_t>(prewidth_));
+  // x̂ = D̂⁻¹u for a physical global u: globally consistent because d̂ is
+  // consistent on shared dofs.
+  const auto scaled = [&](const Vector& u, Vector& xs) {
+    xs.resize(nl_);
+    for (std::size_t l = 0; l < nl_; ++l)
+      xs[l] = u[static_cast<std::size_t>(sub_.local_to_global[l])] / d_[l];
+    r_.counters().flops += nl_;
   };
+  std::vector<std::vector<Vector>> pd(nb_);  // scaled directions p̂_j
+  std::vector<std::vector<Vector>> cd(nb_);  // Â p̂_j, globalized
+  std::vector<Vector> bg(nb_), ax0(nb_);
+  ex_.clear();
+  for (std::size_t b = 0; b < nb_; ++b) {
+    const RecycleIn* rin = recycle_in(opts_, b);
+    if (rin == nullptr) continue;
+    if (!rin->x0.empty()) scaled(rin->x0, ln[b].x);  // the warm start
+    bg[b] = b_loc_[b];  // globalized below, for ‖b̂‖ and r̂₀
+    ex_.push_back(&bg[b]);
+    for (const Vector& dir : kept_directions(opts_, *rin))
+      scaled(dir, pd[b].emplace_back());
+    cd[b].assign(pd[b].size(), Vector(nl_));
+    for (std::size_t j = 0; j < pd[b].size(); ++j) {
+      r_.spmv(a_, pd[b][j], cd[b][j]);
+      ex_.push_back(&cd[b][j]);
+    }
+    if (!pd[b].empty() && !rin->x0.empty()) {
+      ax0[b].resize(nl_);
+      r_.spmv(a_, ln[b].x, ax0[b]);
+      ex_.push_back(&ax0[b]);
+    }
+  }
+  r_.exchange_many(ex_);  // the session's one fused exchange
 
-  // w_glob = ⊕Σ w_loc for the live lanes: one fused exchange.
-  const auto globalize_w = [&] {
-    ex.clear();
-    for (const std::size_t b : live) {
-      la::copy(w_loc[b], w_glob[b]);
-      ex.push_back(&w_glob[b]);
-    }
-    r.exchange_many(ex);
-  };
+  // Partial sums — ‖b̂‖² per warm RHS, then the normal-equation blocks
+  // M = CᵀC and g = Cᵀr̂₀ per projecting RHS — fold into ONE allreduce.
+  Vector red;
+  for (std::size_t b = 0; b < nb_; ++b) {
+    if (bg[b].empty()) continue;
+    red.push_back(r_.dot_lg_partial(b_loc_[b], bg[b]));
+    const std::size_t k = pd[b].size();
+    if (k == 0) continue;
+    Vector r0(nl_);
+    for (std::size_t l = 0; l < nl_; ++l)
+      r0[l] = bg[b][l] - (ax0[b].empty() ? 0.0 : ax0[b][l]);
+    for (std::size_t i = 0; i < k; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        red.push_back(r_.dot_gg_partial(cd[b][i], cd[b][j]));
+    for (std::size_t i = 0; i < k; ++i)
+      red.push_back(r_.dot_gg_partial(cd[b][i], r0));
+    r_.counters().flops += 2 * nl_ * (k * k + 2 * k);
+  }
+  comm_.allreduce_sum(red);
 
-  // z_b = B v_b for the live lanes: the polynomial, wrapped in the
-  // A-DEF1 coarse correction B v = M (v − ÂQv) + Qv (Q = ZE⁻¹Zᵀ) when
-  // deflating.  Zy is globally consistent by construction, so ÂZy comes
-  // out in local format: Basic subtracts it from its local-format v as
-  // is, Enhanced globalizes it first.
-  const auto precondition = [&](std::size_t jj) {
-    pv.clear();
-    pz.clear();
-    for (const std::size_t b : live) {
-      pv.push_back(&v[b][jj]);
-      pz.push_back(&z[b][jj]);
+  // Consume the allreduced scalars: every decision below (trivial RHS,
+  // projection coefficients, singular skip) is identical on all ranks.
+  std::size_t off = 0;
+  for (std::size_t b = 0; b < nb_; ++b) {
+    if (bg[b].empty()) continue;
+    Vector& x = ln[b].x;
+    beta0[b] = sqrt_nonneg(red[off++]);
+    const std::size_t k = pd[b].size();
+    if (beta0[b] == 0.0) {
+      // Trivial RHS: x = 0 is exact — same report as the cold path, warm
+      // start discarded (the cold answer IS the answer).
+      la::fill(x, 0.0);
+      off += k * k + k;
+      continue;
     }
-    const auto nc = defl ? static_cast<std::size_t>(defl->ncoarse()) : 0;
-    if (defl) {
-      OBS_SPAN(tr, "coarse_correct", obs::Cat::Precond,
-               static_cast<std::uint32_t>(live.size()));
-      cbuf.assign(live.size() * nc, 0.0);
-      const std::span<real_t> call(cbuf);
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (basic)
-          defl->restrict_local(*pv[i], call.subspan(i * nc, nc));
-        else
-          defl->restrict_global(*pv[i], call.subspan(i * nc, nc));
-        r.counters().flops += 2 * nl;
-      }
-      comm.allreduce_sum(call);
-      ex.clear();
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::size_t b = live[i];
-        const auto c = call.subspan(i * nc, nc);
-        coarse->solve(c);  // y = E⁻¹Zᵀv, bit-identical on every rank
-        r.counters().coarse_solves += 1;
-        r.counters().flops += coarse->solve_flops();
-        defl->prolong_global(c, zy[b]);
-        r.counters().flops += nl;
-        r.spmv(a, zy[b], vdef[b]);
-        if (!basic) ex.push_back(&vdef[b]);
-      }
-      r.exchange_many(ex);  // no-op for Basic: ex stays empty
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::size_t b = live[i];
-        const Vector& vin = *pv[i];
-        for (std::size_t l = 0; l < nl; ++l) vdef[b][l] = vin[l] - vdef[b][l];
-        r.counters().flops += nl;
-        r.counters().vector_updates += 1;
-        pv[i] = &vdef[b];
-      }
-    }
-    {
-      OBS_SPAN(tr, "poly_apply", obs::Cat::Precond);
-      poly.apply(r, a, pv, pz);
-    }
-    if (!defl) return;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const std::size_t b = live[i];
-      if (basic) {
-        // Zy once more, in local format this time.
-        defl->prolong_local(std::span<const real_t>(cbuf).subspan(i * nc, nc),
-                            zy[b]);
-        r.counters().flops += nl;
-      }
-      Vector& zout = *pz[i];
-      for (std::size_t l = 0; l < nl; ++l) zout[l] += zy[b][l];
-      r.counters().flops += nl;
-      r.counters().vector_updates += 1;
-    }
-  };
-
-  // ---- Solve-session warm setup (opts.recycle): warm-start guesses,
-  // recycled-direction projection, and the ‖b̂‖ convergence reference.
-  // ALL the extra session traffic is ONE fused exchange plus ONE
-  // allreduce for the whole batch; stateless solves (prewidth == 0) skip
-  // this block entirely — exchange count for exchange count (the Table-1
-  // contract).
-  const auto kmax = static_cast<std::size_t>(
-      std::max<index_t>(opts.recycle.max_directions, 0));
-  const bool harvest =
-      opts.recycle.enabled && opts.recycle.harvest && kmax > 0;
-  std::vector<std::size_t> harvested(nb, 0);
-  if (prewidth > 0) {
-    OBS_SPAN(tr, "recycle_setup", obs::Cat::Setup,
-             static_cast<std::uint32_t>(prewidth));
-    const auto ng = static_cast<std::size_t>(part.n_global);
-    std::vector<std::vector<Vector>> pd(nb);  // scaled directions p̂_j
-    std::vector<std::vector<Vector>> cd(nb);  // Â p̂_j, globalized
-    std::vector<Vector> bg(nb), ax0(nb);
-    std::vector<char> has_x0(nb, 0);
-    ex.clear();
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (recycle_width(opts, b, ng) == 0) continue;
-      const RecycleIn& rin = (*opts.recycle.in)[b];
-      // Warm start in the scaled variables: x̂ = D̂⁻¹u is globally
-      // consistent because d̂ is consistent on shared dofs.
-      if (rin.x0.size() == ng) {
-        has_x0[b] = 1;
-        for (std::size_t l = 0; l < nl; ++l)
-          x[b][l] =
-              rin.x0[static_cast<std::size_t>(sub.local_to_global[l])] / d[l];
-        r.counters().flops += nl;
-      }
-      bg[b] = b_loc[b];  // globalized below, for ‖b̂‖ and r̂₀
-      ex.push_back(&bg[b]);
-      std::size_t k = 0;
-      for (const Vector& dir : rin.directions)
-        if (dir.size() == ng) ++k;
-      std::size_t skip = k > kmax ? k - kmax : 0;  // keep the most recent
-      for (const Vector& dir : rin.directions) {
-        if (dir.size() != ng) continue;
-        if (skip > 0) {
-          --skip;
-          continue;
-        }
-        Vector ps(nl);
-        for (std::size_t l = 0; l < nl; ++l)
-          ps[l] =
-              dir[static_cast<std::size_t>(sub.local_to_global[l])] / d[l];
-        r.counters().flops += nl;
-        pd[b].push_back(std::move(ps));
-      }
-      cd[b].assign(pd[b].size(), Vector(nl));
-      for (std::size_t j = 0; j < pd[b].size(); ++j) {
-        r.spmv(a, pd[b][j], cd[b][j]);
-        ex.push_back(&cd[b][j]);
-      }
-      if (!pd[b].empty() && has_x0[b]) {
-        ax0[b].resize(nl);
-        r.spmv(a, x[b], ax0[b]);
-        ex.push_back(&ax0[b]);
-      }
-    }
-    r.exchange_many(ex);  // the session's one fused exchange
-
-    // Partial sums — ‖b̂‖² per warm RHS, then the normal-equation blocks
-    // M = CᵀC and g = Cᵀr̂₀ per projecting RHS — fold into ONE allreduce.
-    red.clear();
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (bg[b].empty()) continue;
-      red.push_back(r.dot_lg_partial(b_loc[b], bg[b]));
-      const std::size_t k = pd[b].size();
-      if (k == 0) continue;
-      Vector r0(nl);
-      for (std::size_t l = 0; l < nl; ++l)
-        r0[l] = bg[b][l] - (has_x0[b] ? ax0[b][l] : 0.0);
+    if (k > 0) {
+      la::DenseMatrix nm(as_index(k), as_index(k));
       for (std::size_t i = 0; i < k; ++i)
         for (std::size_t j = 0; j < k; ++j)
-          red.push_back(r.dot_gg_partial(cd[b][i], cd[b][j]));
-      for (std::size_t i = 0; i < k; ++i)
-        red.push_back(r.dot_gg_partial(cd[b][i], r0));
-      r.counters().flops += 2 * nl * (k * k + 2 * k);
-    }
-    comm.allreduce_sum(red);
-
-    // Consume the allreduced scalars: every decision below (trivial RHS,
-    // projection coefficients, singular skip) is identical on all ranks.
-    std::size_t off = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (bg[b].empty()) continue;
-      const real_t bnorm = sqrt_nonneg(red[off++]);
-      const std::size_t k = pd[b].size();
-      if (bnorm == 0.0) {
-        // Trivial RHS: x = 0 is exact — same report as the cold path,
-        // warm start discarded (the cold answer IS the answer).
-        la::fill(x[b], 0.0);
-        beta0[b] = 0.0;
-        relres[b] = 0.0;
-        done[b] = 1;
-        if (s == leader) out.items[b].trivial_rhs = true;
-        off += k * k + k;
-        continue;
+          nm(as_index(i), as_index(j)) = red[off++];
+      Vector g(red.begin() + static_cast<std::ptrdiff_t>(off),
+               red.begin() + static_cast<std::ptrdiff_t>(off + k));
+      off += k;
+      // Mild Tikhonov floor so near-parallel recycled directions cannot
+      // break the factorization; a singular system skips the projection
+      // (the solve just starts less warm) — identically on every rank.
+      real_t trace = 0.0;
+      for (std::size_t i = 0; i < k; ++i) trace += nm(as_index(i), as_index(i));
+      const real_t eps = 1e-12 * (trace / static_cast<real_t>(k));
+      for (std::size_t i = 0; i < k; ++i) nm(as_index(i), as_index(i)) += eps;
+      try {
+        la::lu_solve(nm, g);
+        for (std::size_t j = 0; j < k; ++j) la::axpy(g[j], pd[b][j], x);
+        r_.counters().flops += 2 * nl_ * k;
+        r_.counters().vector_updates += k;
+      } catch (const Error&) {
       }
-      beta0[b] = bnorm;
-      if (k > 0) {
-        la::DenseMatrix nm(as_index(k), as_index(k));
-        for (std::size_t i = 0; i < k; ++i)
-          for (std::size_t j = 0; j < k; ++j)
-            nm(as_index(i), as_index(j)) = red[off++];
-        Vector g(k);
-        for (std::size_t i = 0; i < k; ++i) g[i] = red[off++];
-        // Mild Tikhonov floor so near-parallel recycled directions cannot
-        // break the factorization; a singular system skips the projection
-        // (the solve just starts less warm) — identically on every rank.
-        real_t trace = 0.0;
-        for (std::size_t i = 0; i < k; ++i)
-          trace += nm(as_index(i), as_index(i));
-        const real_t eps = 1e-12 * (trace / static_cast<real_t>(k));
-        for (std::size_t i = 0; i < k; ++i) nm(as_index(i), as_index(i)) += eps;
-        bool solved = true;
-        try {
-          la::lu_solve(nm, g);
-        } catch (const Error&) {
-          solved = false;
-        }
-        if (solved) {
-          for (std::size_t j = 0; j < k; ++j) la::axpy(g[j], pd[b][j], x[b]);
-          r.counters().flops += 2 * nl * k;
-          r.counters().vector_updates += k;
-        }
-      }
-      // The warm guess was assembled in global format; Basic iterates on
-      // a local-format x (the cross-rank sum of the pieces).
-      if (basic)
-        for (std::size_t l = 0; l < nl; ++l)
-          x[b][l] /= static_cast<real_t>(sub.multiplicity[l]);
     }
+    // The warm guess was assembled in global format; Basic iterates on a
+    // local-format x (the cross-rank sum of the pieces).
+    if (basic_)
+      for (std::size_t l = 0; l < nl_; ++l)
+        x[l] /= static_cast<real_t>(sub_.multiplicity[l]);
   }
+}
 
-  // Every branch below depends only on allreduced scalars, so all ranks
-  // take identical decisions — the fused-message layouts (who is in the
-  // cycle, who is live) never diverge across ranks.
-  const int gs_passes = opts.reorthogonalize ? 2 : 1;
-  for (;;) {
-    // ---- Residuals r_b = b_b − A x_b for every unfinished RHS.
-    cyc.clear();
-    for (std::size_t b = 0; b < nb; ++b)
-      if (!done[b]) cyc.push_back(b);
-    if (cyc.empty()) break;
-    residuals(cyc);
-
-    next.clear();
-    for (std::size_t i = 0; i < cyc.size(); ++i) {
-      const std::size_t b = cyc[i];
-      const real_t beta = sqrt_nonneg(red[i]);
-      if (beta0[b] < 0.0) {
-        beta0[b] = beta;
-        if (beta == 0.0) {  // zero rhs: x = 0 is exact
-          done[b] = 1;
-          relres[b] = 0.0;
-          if (s == leader) out.items[b].trivial_rhs = true;
-          continue;
-        }
-      }
-      relres[b] = beta / beta0[b];
-      if (relres[b] <= opts.tol) {
-        done[b] = 1;
-        continue;
-      }
-      // v_0 = r / beta in the discipline's basis format.
-      const Vector& r0 = basic ? r_loc[b] : r_glob[b];
-      for (std::size_t l = 0; l < nl; ++l) v[b][0][l] = r0[l] / beta;
-      r.counters().flops += nl;
-      r.counters().vector_updates += 1;
-      lsq[b].emplace(m, beta);
-      // Re-entering Arnoldi after a completed cycle: only now has a
-      // restart actually happened (a first-cycle convergence reports 0).
-      if (iters[b] > 0 && s == leader) ++out.items[b].restarts;
-      frozen[b] = 0;
-      brk[b] = 0;
-      jcols[b] = 0;
-      next.push_back(b);
-    }
-    cyc.swap(next);
-
-    // ---- One Arnoldi cycle (Algorithm 5/6 inner loop).
-    for (index_t j = 0; j < m; ++j) {
-      live.clear();
-      for (const std::size_t b : cyc)
-        if (!frozen[b] && iters[b] < opts.max_iters) live.push_back(b);
-      if (live.empty()) break;
-      const auto jj = static_cast<std::size_t>(j);
-      const std::size_t nlive = live.size();
-
-      OBS_SPAN(tr, "arnoldi", obs::Cat::Solve,
-               static_cast<std::uint32_t>(nlive));
-
-      // z_b = B v_b: m exchanges (plus one for Enhanced deflation).
-      precondition(jj);
-
-      // w_b = Â z_b in both formats.  Basic globalizes z first (+1) and
-      // then w (+1); Enhanced, whose z is global, only w (+1).
-      ex.clear();
-      ey.clear();
-      for (const std::size_t b : live) {
-        if (basic) {
-          la::copy(z[b][jj], w_glob[b]);
-          ex.push_back(&w_glob[b]);
-          ey.push_back(&w_loc[b]);
-        } else {
-          r.spmv(a, z[b][jj], w_loc[b]);
-        }
-      }
-      if (basic) detail::exchange_spmv(r, a, ex, ey);
-      globalize_w();
-
-      // Gram–Schmidt: h_kb = ⊕Σ <ŵ_loc, v̂_k,glob> (Eq. 33; Eq. 34 with
-      // the formats swapped for Basic), one global reduction per
-      // coefficient as in Algorithms 5/6 and Table 1 — each fused across
-      // the live lanes — or, with batched_reductions, one per pass.
-      // Basic subtracts from its local-format w, so a second (CGS2) pass
-      // refreshes the global copy with one more exchange; Enhanced's
-      // second pass uses the 1/mult-weighted dot on the updated global w.
-      {
-        OBS_SPAN(tr, "gram_schmidt", obs::Cat::Ortho);
-        const std::size_t nk = jj + 1;
-        for (int pass = 0; pass < gs_passes; ++pass) {
-          if (basic && pass > 0) globalize_w();
-          // Coefficient-major layout, so coefficient k of every lane is
-          // one contiguous allreduce; lane-major loop, so w_b stays hot.
-          red.resize(nk * nlive);
-          for (std::size_t i = 0; i < nlive; ++i)
-            for (std::size_t k = 0; k < nk; ++k) {
-              const std::size_t b = live[i];
-              red[k * nlive + i] =
-                  basic      ? r.dot_lg_partial(v[b][k], w_glob[b])
-                  : pass == 0 ? r.dot_lg_partial(w_loc[b], v[b][k])
-                              : r.dot_gg_partial(w_glob[b], v[b][k]);
-            }
-          if (batched_reductions) {
-            comm.allreduce_sum(red);
-          } else {
-            for (std::size_t k = 0; k < nk; ++k)
-              comm.allreduce_sum(
-                  std::span<real_t>(red).subspan(k * nlive, nlive));
-          }
-          for (std::size_t i = 0; i < nlive; ++i) {
-            const std::size_t b = live[i];
-            Vector& coeff = pass == 0 ? h[b] : h2[b];
-            Vector& w = basic ? w_loc[b] : w_glob[b];
-            for (std::size_t k = 0; k < nk; ++k) {
-              coeff[k] = red[k * nlive + i];
-              la::axpy(-coeff[k], v[b][k], w);
-            }
-            r.counters().flops += 2 * nl * nk;
-            r.counters().vector_updates += nk;
-            if (pass > 0)
-              for (std::size_t k = 0; k < nk; ++k) h[b][k] += h2[b][k];
-          }
-        }
-      }
-
-      // ‖w_b‖ for the live lanes: one allreduce (Basic globalizes its
-      // local-format w once more first, its (+1) for the norm).
-      if (basic) globalize_w();
-      red.resize(nlive);
-      for (std::size_t i = 0; i < nlive; ++i) {
-        const std::size_t b = live[i];
-        red[i] = basic ? r.dot_lg_partial(w_loc[b], w_glob[b])
-                       : r.dot_gg_partial(w_glob[b], w_glob[b]);
-      }
-      comm.allreduce_sum(red);
-
-      for (std::size_t i = 0; i < nlive; ++i) {
-        const std::size_t b = live[i];
-        const real_t hnext = sqrt_nonneg(red[i]);
-        h[b][jj + 1] = hnext;
-        relres[b] =
-            lsq[b]->push_column(std::span<const real_t>(h[b].data(), jj + 2)) /
-            beta0[b];
-        ++iters[b];
-        jcols[b] = j + 1;
-        if (s == leader) {
-          // The report grows with the history (single writer, published
-          // by the team join), so a comm failure mid-solve still leaves a
-          // truthful partial report behind.
-          BatchItemResult& item = out.items[b];
-          item.history.push_back(relres[b]);
-          item.iterations = iters[b];
-          item.final_relres = relres[b];
-          if (tr != nullptr)
-            tr->counter("relres", obs::Cat::Solve, relres[b],
-                        static_cast<std::uint32_t>(b));
-          if (opts.observe.progress)
-            opts.observe.progress(iters[b], relres[b], b);
-        }
-        if (hnext == 0.0 || hnext <= 1e-14 * beta0[b]) {
-          frozen[b] = 1;
-          brk[b] = 1;
-          continue;
-        }
-        if (relres[b] <= opts.tol) {
-          frozen[b] = 1;  // converged: no next basis vector needed
-          continue;
-        }
-        const Vector& w = basic ? w_loc[b] : w_glob[b];
-        for (std::size_t l = 0; l < nl; ++l) v[b][jj + 1][l] = w[l] / hnext;
-        r.counters().flops += nl;
-        r.counters().vector_updates += 1;
-      }
-    }
-
-    // ---- Solution update x_b += Z_b y_b and cycle bookkeeping.
-    for (const std::size_t b : cyc) {
-      if (jcols[b] > 0) {
-        const Vector y = lsq[b]->solve();
-        for (index_t k = 0; k < jcols[b]; ++k)
-          la::axpy(y[static_cast<std::size_t>(k)],
-                   z[b][static_cast<std::size_t>(k)], x[b]);
-        r.counters().flops += 2 * nl * static_cast<std::size_t>(jcols[b]);
-        r.counters().vector_updates += static_cast<std::uint64_t>(jcols[b]);
-        if (harvest) {
-          // Deposit this cycle's physical update Δu = D̂·Z_b y_b into the
-          // harvest ring.  The slot index derives from the deterministic
-          // cycle count, so every rank writes its own piece of the SAME
-          // slot and the ring keeps the most recent kmax cycles.
-          const std::size_t slot = harvested[b] % kmax;
-          Vector du(nl, 0.0);
-          for (index_t k = 0; k < jcols[b]; ++k)
-            la::axpy(y[static_cast<std::size_t>(k)],
-                     z[b][static_cast<std::size_t>(k)], du);
-          for (std::size_t l = 0; l < nl; ++l) du[l] *= d[l];
-          out.dirs[b][slot][static_cast<std::size_t>(s)] = std::move(du);
-          ++harvested[b];
-        }
-      }
-      if (brk[b]) {
-        // Terminal, but NOT convergence: the final true residual below
-        // is the only arbiter of that.
-        done[b] = 1;
-        if (s == leader) out.items[b].breakdown = true;
-      } else if (relres[b] <= opts.tol || iters[b] >= opts.max_iters) {
-        done[b] = 1;
-      }
-    }
-  }
-
-  // ---- Final true residuals and solutions in physical variables
-  // u = D x (Basic globalizes its local-format x with one exchange).
-  residuals(all);
-  if (basic) {
-    ex.clear();
-    for (std::size_t b = 0; b < nb; ++b) {
-      la::copy(x[b], w_glob[b]);
-      ex.push_back(&w_glob[b]);
-    }
-    r.exchange_many(ex);
-  }
-  for (std::size_t b = 0; b < nb; ++b) {
-    const Vector& xg = basic ? w_glob[b] : x[b];
-    Vector u(nl);
-    for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * xg[l];
-    out.sol[b][static_cast<std::size_t>(s)] = std::move(u);
-  }
-  if (s == leader) {
-    for (std::size_t b = 0; b < nb; ++b) {
-      BatchItemResult& item = out.items[b];
-      const real_t final_res = sqrt_nonneg(red[b]);
-      item.final_relres = relative_residual(final_res, beta0[b]);
-      // Convergence is claimed on the final TRUE relative residual alone
-      // (a trivial RHS reports 0, which always meets a positive tol).
-      item.converged = item.final_relres <= opts.tol;
-      if (harvest) out.dir_count[b] = harvested[b];
-    }
-  }
+/// One rank of an EDD-FGMRES solve: the engine over this rank's space.
+void rank_solve(const EddPartition& part, const EddOperatorState& op,
+                std::span<const Vector> rhs, const SolveOptions& opts,
+                bool basic, par::Comm& comm, BatchShared& out) {
+  OBS_SPAN(comm.tracer(), "solve_batch", obs::Cat::Solve,
+           static_cast<std::uint32_t>(rhs.size()));
+  EddSpace space(part, op, rhs, opts, basic, comm, out);
+  detail::run_fgmres(space, opts, out.items);
 }
 
 /// Assemble per-rank pieces into one global vector.  Pieces of ranks
@@ -651,7 +504,7 @@ BatchSolveResult run_edd_fgmres(par::Team& team, const EddPartition& part,
                                 const EddOperatorState& op,
                                 std::span<const Vector> rhs,
                                 const SolveOptions& opts, EddVariant variant,
-                                bool batched_reductions, obs::Trace* trace) {
+                                obs::Trace* trace) {
   PFEM_CHECK_MSG(!rhs.empty(), "EDD-FGMRES: empty RHS batch");
   PFEM_CHECK_MSG(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0,
                  "EDD-FGMRES: restart/max_iters must be >= 1 and tol > 0");
@@ -716,8 +569,7 @@ BatchSolveResult run_edd_fgmres(par::Team& team, const EddPartition& part,
   try {
     counters = team.run(
         [&](par::Comm& comm) {
-          rank_solve(part, op, rhs, opts, basic, batched_reductions, comm,
-                     out);
+          rank_solve(part, op, rhs, opts, basic, comm, out);
         },
         trace);
   } catch (const par::CommError& e) {
@@ -942,8 +794,7 @@ DistSolve solve_edd(const partition::EddPartition& part,
       [&](par::Team& team, const EddOperatorState& op, obs::Trace* trace,
           DistSolve& result) {
         BatchSolveResult run =
-            detail::run_edd_fgmres(team, part, op, rhs, opts, variant,
-                                   opts.batched_reductions, trace);
+            detail::run_edd_fgmres(team, part, op, rhs, opts, variant, trace);
         static_cast<SolveReport&>(result) = std::move(run.items.front());
         if (run.comm_failed()) return;  // partial report, no x
         result.x = std::move(run.x.front());
@@ -957,9 +808,11 @@ BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,
                                  const EddOperatorState& op,
                                  std::span<const Vector> rhs,
                                  const SolveOptions& opts, obs::Trace* trace) {
-  return detail::run_edd_fgmres(team, part, op, rhs, opts,
-                                EddVariant::Enhanced,
-                                /*batched_reductions=*/true, trace);
+  // The warm path always folds each Gram–Schmidt pass into one allreduce.
+  SolveOptions batched = opts;
+  batched.batched_reductions = true;
+  return detail::run_edd_fgmres(team, part, op, rhs, batched,
+                                EddVariant::Enhanced, trace);
 }
 
 }  // namespace pfem::core

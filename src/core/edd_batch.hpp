@@ -1,5 +1,5 @@
-// The EDD-FGMRES engine's public face: an explicit setup/apply split
-// and multi-RHS batching on a persistent rank team.
+// EDD-FGMRES's public face: an explicit setup/apply split and multi-RHS
+// batching on a persistent rank team.
 //
 //   par::Team team(P);                                   // threads parked
 //   EddOperatorState op = build_edd_operator(team, part, spec);  // once
@@ -7,10 +7,10 @@
 //
 // build_edd_operator runs the Algorithms-3/4 norm-1 scaling, the rank
 // kernels, the polynomial build and (optionally) the deflation coarse
-// operator once; every later solve reuses that state.  One engine runs
-// every EDD-FGMRES solve in the repo: solve_edd() is a one-shot team,
-// one build and a width-1 run of the same loop in the caller's variant
-// and reduction discipline.
+// operator once; every later solve reuses that state.  Every EDD-FGMRES
+// solve is the one FGMRES engine (core/fgmres.hpp) over the EDD space:
+// solve_edd() is a one-shot team, one build and a width-1 run of the
+// same loop in the caller's variant and reduction discipline.
 //
 // solve_edd_batch runs a loop-fused enhanced EDD-FGMRES (Algorithm 6)
 // over all right-hand sides at once: each Arnoldi step still performs m

@@ -26,15 +26,6 @@ using partition::EddSubdomain;
 
 inline constexpr int kExchangeTag = 0;
 
-/// sqrt clamped at zero: distributed ⟨x_loc, x_glob⟩ equals ‖x‖² only in
-/// exact arithmetic — near convergence the cross-format partial sums can
-/// round to a tiny negative value.  Callers must treat an exactly-zero
-/// result as a zero vector (happy breakdown), never divide by it.  A NaN
-/// propagates: it must never read as a zero residual.
-inline real_t sqrt_nonneg(real_t v) {
-  return v > 0.0 || std::isnan(v) ? std::sqrt(v) : 0.0;
-}
-
 /// Rank-local helper: exchange, distributed inner products, counting.
 class EddRank {
  public:
@@ -396,19 +387,60 @@ class DistPoly {
   std::vector<Vector*> wdp_;   // ... and their lane views
 };
 
-/// The EDD-FGMRES engine behind solve_edd and solve_edd_batch: restarted
-/// FGMRES with the operator's polynomial (and optional coarse
-/// correction) on every RHS of `rhs` at once, on a team whose size is
-/// part.nparts().  `variant` picks the vector-format discipline
-/// (Algorithm 5 or 6); `batched_reductions` folds each Gram–Schmidt
-/// pass into one allreduce instead of one per coefficient.  A typed
-/// communication failure comes back as a partial report (see
-/// BatchSolveResult::comm_error).  With a null `trace`, a per-call trace
-/// is created when opts.observe.trace asks for one.
+/// The rank body the short-recurrence EDD solvers (CG, BiCGSTAB) share,
+/// from x = 0: `iterate` over the form's `ops` (whose charge and record
+/// it fills in) from `res`, the residual of x = 0; then `residual(x, res)`
+/// forms the true residual that alone decides convergence.  Writes this
+/// rank's physical solution u = D x and, on rank 0, the report — growing
+/// per iteration, so a comm failure leaves a truthful partial report.
+inline void short_rank_solve(
+    EddRank& r, const Vector& d, ShortOps ops, ShortIterate iterate,
+    Vector& res, const std::function<void(const Vector&, Vector&)>& residual,
+    const SolveOptions& opts, Vector& u, SolveReport& report) {
+  const bool leader = r.comm().rank() == 0;
+  ops.charge = [&](std::uint64_t flops, std::uint64_t updates) {
+    r.counters().flops += flops;
+    r.counters().vector_updates += updates;
+  };
+  ops.record = [&](index_t iterations, real_t relres) {
+    if (!leader) return;
+    report.history.push_back(relres);
+    report.iterations = iterations;
+  };
+  Vector x(r.nl(), 0.0);
+  const real_t beta0 = ops.norm(res);
+  index_t iterations = 0;
+  // Every scalar the iteration branches on is allreduced, so all ranks
+  // stop together.
+  const bool breakdown =
+      beta0 > 0.0 && iterate(ops, x, res, beta0, opts, iterations);
+  residual(x, res);
+  const real_t final_relres = relative_residual(ops.norm(res), beta0);
+  u.resize(x.size());
+  for (std::size_t l = 0; l < x.size(); ++l) u[l] = d[l] * x[l];
+  if (!leader) return;
+  // The recursive residual only proposes convergence; the final TRUE
+  // residual decides it (a trivial RHS reports 0, which always meets a
+  // positive tol).
+  report.final_relres = final_relres;
+  report.converged = final_relres <= opts.tol;
+  report.breakdown = breakdown;
+  report.trivial_rhs = beta0 == 0.0;  // from x₀ = 0: b = 0
+  report.iterations = iterations;
+}
+
+/// EDD-FGMRES behind solve_edd and solve_edd_batch: the FGMRES engine
+/// over the EDD space, with the operator's polynomial (and optional
+/// coarse correction), on every RHS of `rhs` at once, on a team whose
+/// size is part.nparts().  `variant` picks the vector-format discipline
+/// (Algorithm 5 or 6).  A typed communication failure comes back as a
+/// partial report (see BatchSolveResult::comm_error).  With a null
+/// `trace`, a per-call trace is created when opts.observe.trace asks for
+/// one.
 [[nodiscard]] BatchSolveResult run_edd_fgmres(
     par::Team& team, const EddPartition& part, const EddOperatorState& op,
     std::span<const Vector> rhs, const SolveOptions& opts, EddVariant variant,
-    bool batched_reductions, obs::Trace* trace);
+    obs::Trace* trace);
 
 /// The solve half of a one-shot EDD solve: runs on the built operator,
 /// records spans into `trace` (may be null), and fills the report, x and

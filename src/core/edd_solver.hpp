@@ -7,10 +7,11 @@
 // the polynomial degree:
 //   Basic    (Algorithm 5): m + 3   (basis kept in local distributed form)
 //   Enhanced (Algorithm 6): m + 1   (preconditioned vectors kept global)
-// Both are branches of one engine (core/edd_batch.cpp): solve_edd runs
-// it at width 1 on a one-shot team after one build_edd_operator, so the
-// warm multi-RHS path (core/edd_batch.hpp) executes the same loop.  The
-// measured counts are reproduced by bench/table1_complexity.
+// Both are the EDD space (core/edd_batch.cpp) of the one FGMRES engine
+// (core/fgmres.hpp): solve_edd runs it at width 1 on a one-shot team
+// after one build_edd_operator, so the warm multi-RHS path
+// (core/edd_batch.hpp) executes the same loop.  The measured counts are
+// reproduced by bench/table1_complexity.
 #pragma once
 
 #include <optional>

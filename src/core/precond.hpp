@@ -100,22 +100,4 @@ class PolyPrecond final : public Preconditioner {
   Vector v_, z_;  ///< the single lane's input and output
 };
 
-/// Adapter for ad-hoc preconditioners (distributed closures, tests).
-class FunctionPrecond final : public Preconditioner {
- public:
-  using Fn = std::function<void(std::span<const real_t>, std::span<real_t>)>;
-  FunctionPrecond(std::string name, Fn fn, int matvecs = 0)
-      : name_(std::move(name)), fn_(std::move(fn)), matvecs_(matvecs) {}
-  void apply(std::span<const real_t> v, std::span<real_t> z) override {
-    fn_(v, z);
-  }
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] int matvecs_per_apply() const override { return matvecs_; }
-
- private:
-  std::string name_;
-  Fn fn_;
-  int matvecs_;
-};
-
 }  // namespace pfem::core

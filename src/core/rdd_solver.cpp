@@ -1,12 +1,13 @@
 #include "core/rdd_solver.hpp"
 
 #include <cmath>
+#include <functional>
 #include <optional>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/polynomial.hpp"
-#include "la/hessenberg_lsq.hpp"
 #include "la/vector_ops.hpp"
 #include "obs/trace.hpp"
 #include "sparse/ilu0.hpp"
@@ -127,13 +128,8 @@ class RddRank {
 
   [[nodiscard]] std::span<const real_t> x_ext() const { return x_ext_; }
 
-  /// Global inner product (Eq. 47).
-  [[nodiscard]] real_t dot(std::span<const real_t> x,
-                           std::span<const real_t> y) {
-    return comm_.allreduce_sum(dot_partial(x, y));
-  }
-
-  /// Local partial without the reduction (for batched coefficients).
+  /// Local partial of the global inner product (Eq. 47); the caller
+  /// reduces it.
   [[nodiscard]] real_t dot_partial(std::span<const real_t> x,
                                    std::span<const real_t> y) {
     counters().inner_products += 1;
@@ -177,15 +173,63 @@ class RddRank {
 };
 
 struct SharedOut {
+  SolveReport report;  ///< written by the leader
   std::vector<Vector> solutions;
-  bool converged = false;
-  bool breakdown = false;
-  bool trivial_rhs = false;
-  index_t iterations = 0;
-  index_t restarts = 0;
-  real_t final_relres = 0.0;
-  std::vector<real_t> history;
   std::vector<par::PerfCounters> setup_counters;
+};
+
+/// The RDD space on one rank (Algorithm 8): one lane on the owned rows,
+/// the Eq.-48 mat-vec, Eq.-47 dots (local dot + allreduce), the rank's
+/// preconditioner, and the physical solution u = D x.
+class RddSpace final : public detail::KrylovSpace {
+ public:
+  using Precondition = std::function<void(const Vector& v, Vector& z)>;
+  RddSpace(RddRank& r, const RddOp& op, const Vector& b,
+           Precondition precond, const Vector& d, Vector& u)
+      : r_(r), op_(op), b_(b), precond_(std::move(precond)), d_(d), u_(u) {}
+
+  [[nodiscard]] std::size_t size() const override { return b_.size(); }
+  [[nodiscard]] bool leader() const override {
+    return r_.comm().rank() == r_.comm().local_leader();
+  }
+  [[nodiscard]] obs::Tracer* tracer() override { return r_.comm().tracer(); }
+  void start(State, std::span<real_t>) override {}  // cold: x₀ = 0
+  void residual(Lanes, State ln, std::span<real_t> red) override {
+    Vector& res = ln[0].v[0];
+    r_.matvec(op_, ln[0].x, res);
+    for (std::size_t l = 0; l < res.size(); ++l) res[l] = b_[l] - res[l];
+    red[0] = r_.dot_partial(res, res);
+  }
+  void step(Lanes, std::size_t j, State ln) override {
+    precond_(ln[0].v[j], ln[0].z[j]);
+    r_.matvec(op_, ln[0].z[j], ln[0].w);
+  }
+  void dots(Lanes, std::size_t nk, State ln,
+            std::span<real_t> red) override {
+    for (std::size_t k = 0; k < nk; ++k)
+      red[k] = r_.dot_partial(ln[0].w, ln[0].v[k]);
+  }
+  void norms(Lanes, State ln, std::span<real_t> red) override {
+    red[0] = r_.dot_partial(ln[0].w, ln[0].w);
+  }
+  void reduce(std::span<real_t> red) override { r_.comm().allreduce_sum(red); }
+  // Algorithm 8's accounting charges the axpys, not the basis scalings.
+  void charge(std::uint64_t axpys, std::uint64_t /*scalings*/) override {
+    r_.counters().flops += 2 * b_.size() * axpys;
+    r_.counters().vector_updates += axpys;
+  }
+  void finish(State ln) override {
+    u_.resize(b_.size());
+    for (std::size_t l = 0; l < u_.size(); ++l) u_[l] = d_[l] * ln[0].x[l];
+  }
+
+ private:
+  RddRank& r_;
+  const RddOp& op_;
+  const Vector& b_;
+  Precondition precond_;
+  const Vector& d_;
+  Vector& u_;
 };
 
 void rdd_rank_solve(const RddPartition& part,
@@ -196,7 +240,6 @@ void rdd_rank_solve(const RddPartition& part,
   const RddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
   RddRank r(sub, comm);
   const std::size_t nl = r.nl();
-  const index_t m = opts.restart;
 
   obs::Tracer* const tr = comm.tracer();
   OBS_SPAN(tr, "solve_rdd", obs::Cat::Solve);
@@ -224,7 +267,12 @@ void rdd_rank_solve(const RddPartition& part,
     real_t rownorm = 0.0;
     for (real_t v : a_loc.row_vals(i)) rownorm += std::abs(v);
     for (real_t v : a_ext.row_vals(i)) rownorm += std::abs(v);
-    PFEM_CHECK_MSG(rownorm > 0.0, "norm-1 scaling: zero row");
+    // The rows are complete, so this is a degenerate row of the operator
+    // itself — typed as norm1_scaling and build_edd_operator type it.
+    if (!(rownorm > 0.0) || !std::isfinite(rownorm))
+      throw BadOperatorError(
+          "norm-1 scaling: zero/degenerate row at global dof " +
+          std::to_string(sub.rows[static_cast<std::size_t>(i)]));
     dscale[static_cast<std::size_t>(i)] = 1.0 / std::sqrt(rownorm);
   }
   r.counters().flops +=
@@ -291,6 +339,7 @@ void rdd_rank_solve(const RddPartition& part,
   PolyScratch pwork(poly ? 1 : 0, nl);
   Vector ovl_rhs(n_ovl), ovl_sol(n_ovl);
   auto precondition = [&](const Vector& v, Vector& zz) {
+    OBS_SPAN(tr, "precond", obs::Cat::Precond);
     if (rdd_opts.precond == RddOptions::Precond::BlockJacobiIlu) {
       ilu->solve(v, zz);
       r.counters().flops += ilu->solve_flops();
@@ -321,146 +370,9 @@ void rdd_rank_solve(const RddPartition& part,
     r.counters().vector_updates += poly->updates_per_lane();
   };
 
-  // ---- FGMRES (Algorithm 8).
-  Vector x(nl, 0.0), res(nl), w(nl);
-  std::vector<Vector> v(static_cast<std::size_t>(m) + 1, Vector(nl));
-  std::vector<Vector> z(static_cast<std::size_t>(m), Vector(nl));
-  Vector h(static_cast<std::size_t>(m) + 2);
-  Vector h2(static_cast<std::size_t>(m) + 2);
-
-  bool broke_down = false;
-  index_t iterations = 0, restarts = 0;
-  real_t beta0 = -1.0, relres = 1.0;
-
-  while (iterations < opts.max_iters) {
-    r.matvec(op, x, res);
-    for (std::size_t l = 0; l < nl; ++l) res[l] = b[l] - res[l];
-    const real_t beta = std::sqrt(r.dot(res, res));
-    if (beta0 < 0.0) {
-      beta0 = beta;
-      if (beta0 == 0.0) {
-        relres = 0.0;
-        if (s == 0) out.trivial_rhs = true;
-        break;
-      }
-    }
-    relres = beta / beta0;
-    if (relres <= opts.tol) break;
-    if (iterations > 0) {
-      // Only a cycle entered after a completed one counts as a restart.
-      ++restarts;
-      if (s == 0) out.restarts = restarts;
-    }
-    for (std::size_t l = 0; l < nl; ++l) v[0][l] = res[l] / beta;
-
-    la::HessenbergLsq lsq(m, beta);
-    index_t j = 0;
-    bool breakdown = false;
-    for (; j < m && iterations < opts.max_iters; ++j) {
-      OBS_SPAN(tr, "arnoldi", obs::Cat::Solve,
-               static_cast<std::uint32_t>(iterations));
-      {
-        OBS_SPAN(tr, "precond", obs::Cat::Precond);
-        precondition(v[static_cast<std::size_t>(j)],
-                     z[static_cast<std::size_t>(j)]);
-      }
-      r.matvec(op, z[static_cast<std::size_t>(j)], w);
-
-      // One global reduction per h_ij, as in the paper's Algorithm 8
-      // (Table 1: ~m̃+1 global communications per iteration), optionally
-      // batched; optional second CGS pass.
-      const int gs_passes = opts.reorthogonalize ? 2 : 1;
-      {
-        OBS_SPAN(tr, "gram_schmidt", obs::Cat::Ortho);
-        for (int pass = 0; pass < gs_passes; ++pass) {
-          Vector& coeff = pass == 0 ? h : h2;
-          if (opts.batched_reductions) {
-            for (index_t i = 0; i <= j; ++i)
-              coeff[static_cast<std::size_t>(i)] =
-                  r.dot_partial(w, v[static_cast<std::size_t>(i)]);
-            comm.allreduce_sum(std::span<real_t>(
-                coeff.data(), static_cast<std::size_t>(j) + 1));
-          } else {
-            for (index_t i = 0; i <= j; ++i)
-              coeff[static_cast<std::size_t>(i)] =
-                  r.dot(w, v[static_cast<std::size_t>(i)]);
-          }
-          for (index_t i = 0; i <= j; ++i)
-            la::axpy(-coeff[static_cast<std::size_t>(i)],
-                     v[static_cast<std::size_t>(i)], w);
-          r.counters().flops += 2 * nl * static_cast<std::size_t>(j + 1);
-          r.counters().vector_updates += static_cast<std::uint64_t>(j) + 1;
-          if (pass > 0)
-            for (index_t i = 0; i <= j; ++i)
-              h[static_cast<std::size_t>(i)] +=
-                  coeff[static_cast<std::size_t>(i)];
-        }
-      }
-      const real_t hnext = std::sqrt(r.dot(w, w));
-      h[static_cast<std::size_t>(j) + 1] = hnext;
-
-      relres = lsq.push_column(std::span<const real_t>(
-                   h.data(), static_cast<std::size_t>(j) + 2)) /
-               beta0;
-      ++iterations;
-      if (s == 0) {
-        // Incremental single-writer report: a comm failure mid-solve
-        // still leaves a truthful partial history (see edd_solver).
-        out.history.push_back(relres);
-        out.iterations = iterations;
-        out.final_relres = relres;
-        if (tr != nullptr) tr->counter("relres", obs::Cat::Solve, relres);
-        if (opts.observe.progress) opts.observe.progress(iterations, relres, 0);
-      }
-
-      if (hnext <= 1e-14 * beta0) {
-        breakdown = true;
-        ++j;
-        break;
-      }
-      for (std::size_t l = 0; l < nl; ++l)
-        v[static_cast<std::size_t>(j) + 1][l] = w[l] / hnext;
-
-      if (relres <= opts.tol) {
-        ++j;
-        break;
-      }
-    }
-
-    if (j > 0) {
-      const Vector y = lsq.solve();
-      for (index_t i = 0; i < j; ++i)
-        la::axpy(y[static_cast<std::size_t>(i)],
-                 z[static_cast<std::size_t>(i)], x);
-      r.counters().flops += 2 * nl * static_cast<std::size_t>(j);
-      r.counters().vector_updates += static_cast<std::uint64_t>(j);
-    }
-    if (breakdown) {
-      broke_down = true;  // terminal, but not convergence by itself
-      break;
-    }
-    if (relres <= opts.tol) break;
-  }
-
-  // ---- Final residual and physical solution u = D x.
-  r.matvec(op, x, res);
-  for (std::size_t l = 0; l < nl; ++l) res[l] = b[l] - res[l];
-  const real_t final_res = std::sqrt(r.dot(res, res));
-  const real_t final_relres = relative_residual(final_res, beta0);
-
-  Vector u(nl);
-  for (std::size_t l = 0; l < nl; ++l) u[l] = dscale[l] * x[l];
-  out.solutions[static_cast<std::size_t>(s)] = std::move(u);
-
-  if (s == 0) {
-    // The final TRUE relative residual is the only arbiter (see
-    // edd_solver): breakdown/trivial exits are reported as flags.
-    out.converged = final_relres <= opts.tol;
-    out.breakdown = broke_down;
-    out.iterations = iterations;
-    out.restarts = restarts;
-    out.final_relres = final_relres;
-  }
+  RddSpace space(r, op, b, precondition, dscale,
+                 out.solutions[static_cast<std::size_t>(s)]);
+  detail::run_fgmres(space, opts, std::span(&out.report, 1));
 }
 
 }  // namespace
@@ -500,32 +412,17 @@ DistSolve solve_rdd(const RddPartition& part,
     comm_error = e.what();
   }
 
-  if (!comm_error.empty()) {
-    DistSolve result;
-    result.wall_seconds = timer.seconds();
-    result.trace = std::move(trace);
-    result.converged = false;
-    result.comm_error = std::move(comm_error);
-    result.breakdown = out.breakdown;
-    result.trivial_rhs = out.trivial_rhs;
-    result.iterations = out.iterations;
-    result.restarts = out.restarts;
-    result.final_relres = out.final_relres;
-    result.history = std::move(out.history);
-    return result;
-  }
-
   DistSolve result;
+  static_cast<SolveReport&>(result) = std::move(out.report);
   result.wall_seconds = timer.seconds();
   result.trace = std::move(trace);
+  if (!comm_error.empty()) {
+    // A typed partial report: the history the leader wrote, no solution.
+    result.converged = false;
+    result.comm_error = std::move(comm_error);
+    return result;
+  }
   result.x = partition::rdd_gather(part, out.solutions);
-  result.converged = out.converged;
-  result.breakdown = out.breakdown;
-  result.trivial_rhs = out.trivial_rhs;
-  result.iterations = out.iterations;
-  result.restarts = out.restarts;
-  result.final_relres = out.final_relres;
-  result.history = std::move(out.history);
   result.rank_counters = std::move(counters);
   result.setup_counters = std::move(out.setup_counters);
   return result;

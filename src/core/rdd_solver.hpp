@@ -7,8 +7,11 @@
 // diagonal scaling needs no communication for the row norms (the paper's
 // remark in §4.1.2) but one exchange to obtain the scaling of external
 // columns.  Preconditioning is either the same polynomial machinery
-// (each application = m distributed mat-vecs, hence m exchanges) or the
-// block-Jacobi local-ILU(0) kernel of Eq. 49's discussion.
+// (each application = m distributed mat-vecs, hence m exchanges), the
+// block-Jacobi local-ILU(0) kernel of Eq. 49's discussion, or restricted
+// additive Schwarz.  The Krylov loop is the one FGMRES engine
+// (core/fgmres.hpp) over the RDD space; a zero row of the operator
+// throws BadOperatorError.
 #pragma once
 
 #include <span>

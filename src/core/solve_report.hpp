@@ -96,6 +96,19 @@ inline void require_finite_rhs(std::span<const real_t> f, const char* solver) {
                                           "non-finite (NaN or inf) entry");
 }
 
+namespace detail {
+
+/// sqrt clamped at zero: distributed ⟨x_loc, x_glob⟩ equals ‖x‖² only in
+/// exact arithmetic — near convergence the cross-format partial sums can
+/// round to a tiny negative value.  Callers must treat an exactly-zero
+/// result as a zero vector (happy breakdown), never divide by it.  A NaN
+/// propagates: it must never read as a zero residual.
+inline real_t sqrt_nonneg(real_t v) {
+  return v > 0.0 || std::isnan(v) ? std::sqrt(v) : 0.0;
+}
+
+}  // namespace detail
+
 /// ‖r‖/‖r₀‖ at exit: 0 for a trivial RHS (‖r₀‖ = 0) by convention; a NaN
 /// in either norm propagates, so it can never read as convergence.
 [[nodiscard]] inline real_t relative_residual(real_t res, real_t beta0) {

@@ -4,11 +4,16 @@
 
 #include <cmath>
 #include <span>
+#include <string>
+#include <tuple>
 
 #include "core/diag_scaling.hpp"
+#include "core/edd_solver.hpp"
 #include "core/fgmres.hpp"
 #include "core/operator.hpp"
 #include "core/precond.hpp"
+#include "core/rdd_solver.hpp"
+#include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "la/dense.hpp"
 #include "la/vector_ops.hpp"
@@ -191,18 +196,50 @@ TEST(Fgmres, PrecondNamesAndMatvecCounts) {
   EXPECT_EQ(neu.matvecs_per_apply(), 20);
 }
 
-TEST(Fgmres, FunctionPrecondAdapter) {
-  const sparse::CsrMatrix a = sparse::tridiag(12, 2.5, -1.0);
-  Vector b(12, 1.0), x(12, 0.0);
-  FunctionPrecond scale_by_half(
-      "halver",
-      [](std::span<const real_t> v, std::span<real_t> z) {
-        for (std::size_t i = 0; i < v.size(); ++i) z[i] = 0.5 * v[i];
-      });
-  const SolveReport res = fgmres(a, b, x, scale_by_half);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(scale_by_half.name(), "halver");
+// The sequential path is the FGMRES engine's one-rank space: on the
+// norm-1-scaled system, sequential fgmres, solve_edd (Enhanced) at P=1
+// and solve_rdd (Poly) at P=1 run the same arithmetic, so iteration
+// counts, every history entry and the final relres agree bit for bit.
+using P1Case = std::tuple<int, PolyKind>;
+
+class FgmresP1SpaceTest : public ::testing::TestWithParam<P1Case> {};
+
+TEST_P(FgmresP1SpaceTest, SequentialEddAndRddAreBitIdentical) {
+  const auto [mesh, kind] = GetParam();
+  const fem::CantileverProblem prob = fem::make_table2_cantilever(mesh);
+  const PolySpec spec{.kind = kind,
+                      .degree = kind == PolyKind::Neumann ? 20 : 7};
+  const ScaledSystem sys = scale_system(prob.stiffness, prob.load);
+  PolyPrecond precond(LinearOp::from_csr(sys.a), spec);
+  Vector x(sys.b.size(), 0.0);
+  const SolveReport seq = fgmres(sys.a, sys.b, x, precond);
+  const DistSolve edd = solve_edd(exp::make_edd(prob, 1), prob.load, spec);
+  RddOptions rdd_opts;
+  rdd_opts.poly = spec;
+  const DistSolve rdd =
+      solve_rdd(exp::make_rdd(prob, 1), prob.load, rdd_opts);
+  ASSERT_TRUE(seq.converged);
+  for (const SolveReport* dist : {static_cast<const SolveReport*>(&edd),
+                                  static_cast<const SolveReport*>(&rdd)}) {
+    EXPECT_EQ(dist->iterations, seq.iterations);
+    EXPECT_EQ(dist->restarts, seq.restarts);
+    EXPECT_EQ(dist->history, seq.history);
+    EXPECT_EQ(dist->final_relres, seq.final_relres);
+  }
 }
+
+std::string p1_case_name(const ::testing::TestParamInfo<P1Case>& info) {
+  const auto [mesh, kind] = info.param;
+  const char* const kinds[] = {"none", "Neumann", "GLS"};
+  return "Mesh" + std::to_string(mesh) + "_" + kinds[static_cast<int>(kind)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeshesAndPolys, FgmresP1SpaceTest,
+    ::testing::Combine(::testing::Values(1, 2),
+                       ::testing::Values(PolyKind::None, PolyKind::Neumann,
+                                         PolyKind::Gls)),
+    p1_case_name);
 
 class FgmresRestartSweep : public ::testing::TestWithParam<index_t> {};
 

@@ -179,6 +179,22 @@ TEST(RddSolver, MoreRanksMoreMessagesPerExchange) {
   EXPECT_GT(msgs8, msgs2);
 }
 
+TEST(RddSolver, DegenerateOperatorThrowsTypedError) {
+  // A zero row of the operator: the RDD norm-1 scaling refuses it with the
+  // same typed error as norm1_scaling and build_edd_operator, so the
+  // service can answer Failed{BadOperator}.
+  const fem::CantileverProblem prob = test_problem();
+  partition::RddPartition part = exp::make_rdd(prob, 4);
+  partition::RddSubdomain& sub = part.subs[1];
+  for (sparse::CsrMatrix* m : {&sub.a_loc, &sub.a_ext}) {
+    const auto rp = m->row_ptr();
+    const auto vals = m->values();
+    for (index_t k = rp[0]; k < rp[1]; ++k)
+      vals[static_cast<std::size_t>(k)] = 0.0;
+  }
+  EXPECT_THROW((void)solve_rdd(part, prob.load), BadOperatorError);
+}
+
 TEST(RddSolver, ValidatesThePolySpecLikeEdd) {
   // One build path: every spec validate_poly_spec refuses is refused by
   // solve_rdd too (before any rank starts), with the same message.
